@@ -11,7 +11,9 @@ two in step.
 Rules for reading a metric:
 
 - ``self``: the median over the traced run's ops of the summed self
-  time of the named spans in that op (0 in an op without them).  A
+  time of the named spans in that op (0 in an op without them), on the
+  wall clock, like the job server's status times ``serve.spawn_ms``
+  combines them with.  A
   layer whose every call falls outside ops -- ``slice_trace`` and
   ``validate_trace`` run once per ``watch`` stream, before its first
   update -- reports the median over its calls instead.

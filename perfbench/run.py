@@ -11,35 +11,47 @@ A run makes its inputs from the seed (:mod:`perfbench.workloads`), then
 runs ``SESSIONS`` sessions one after another, each a fresh
 process that sets the workload up and runs an equal share of the timed
 ops (:mod:`perfbench.session`).  ``--seconds`` sets the op count at a
-fixed nominal rate, never from measured speed.  Latencies of all
-sessions are pooled, so a run averages over several processes.
+fixed nominal rate, never from measured speed.  ``setup_s`` is the
+median of the sessions' set-ups, and the ops of all sessions are
+pooled, so a run averages over several processes.
 
 With ``--trace 0`` the metrics are the end-to-end ones, from untraced
-sessions:
+sessions.  Every time among them is CPU time (user + system) of the
+processes that run the program: the session for ``track`` and
+``watch``; for ``serve``, the client, the job server and its workers.
+CPU time leaves out what the wall clock adds on a shared host, above
+all the time the hypervisor runs other guests on this one's CPUs
+(steal).  The program runs serially on one thread, so for ``track`` and
+``watch`` an op's CPU time is its latency on an idle host; for ``serve``
+it is the work a job costs the client, the server and the worker,
+including the client's polls and the server's answers to them.
 
 ``setup_s``
     From process start to the first timed op: imports, program
     start-up (the job server, for ``serve``) and warm-up ops; input
     preparation is left out.  The median over the run's sessions.
 ``ops_per_s``, ``p50_ms``, ``p90_ms``
-    Timed ops over the summed wall time of the timed phases, and the
-    median and nearest-rank 90th percentile of op latency (at least 10
+    Timed ops over the summed CPU time of the timed phases, and the
+    median and nearest-rank 90th percentile of op CPU time (at least 10
     samples beyond it).
 ``peak_rss_mib``
     Peak RSS of the process that runs the program; for ``serve``, the
     job server and its workers (``RUSAGE_CHILDREN`` of the client after
     the server is reaped).  The highest over the run's sessions.
 
-With ``--trace 1`` untraced and traced sessions alternate, each set
-with the same inputs and op count as an untraced run; the metrics are
-the per-layer ones of :mod:`perfbench.layers`, from the traced
-sessions, plus ``tracing.overhead_pct``.  Ops of both sets are checked
-and counted.
+The same figures on the wall clock go to the run's details file.
+
+With ``--trace 1`` a run has two sessions on the same inputs: an
+untraced one, with the ops of one untraced session, then a traced one,
+with all the ops of an untraced run.  The metrics are the per-layer ones
+of :mod:`perfbench.layers`, from the traced session, plus
+``tracing.overhead_pct`` (traced against untraced ``p50_ms``).  Ops of
+both sessions are checked and counted.
 
 The program's environment is pinned in every process, the server
 included: ``REPRO_JOBS=1``, and no ``REPRO_OBS``, ``REPRO_OBS_SAMPLE``,
 ``REPRO_LEDGER`` or ``REPRO_CACHE``.  Details of each run (input
-digests, sample counts, set-up samples) go to
+digests, sample counts, set-up samples, wall-clock figures) go to
 ``.perfbench/last-<workload>.json``, and a traced run's spans to
 ``.perfbench/spans-<workload>.json``.
 """
@@ -84,34 +96,33 @@ def pinned_env() -> dict[str, str]:
 class Runner:
     """Spawns the sessions of one run, each in a fresh process group."""
 
-    def __init__(self, workload: str, run_dir: Path, ops: int, started: float) -> None:
+    def __init__(self, workload: str, run_dir: Path, spans: Path, started: float) -> None:
         self.workload = workload
         self.run_dir = run_dir
-        self.ops = ops
+        self.spans = spans
         self.deadline = started + DEADLINE_S
         self.env = pinned_env()
         self.count = 0
 
-    def session(self, share: int, *, trace: bool = False) -> dict:
-        """Run share *share* of the timed ops in a new session.
+    def session(self, first: int, n_ops: int, *, trace: bool = False) -> dict:
+        """Run timed ops ``first .. first + n_ops - 1`` in a new session.
 
-        Returns the session's result plus ``setup_s``: the time from
-        spawning the process to its first timed op, less its input
-        preparation.
+        Returns the session's result plus ``setup_wall_s``: the wall time
+        from spawning the process to its first timed op, less its input
+        preparation.  A traced session writes its spans to ``self.spans``.
         """
         self.count += 1
         work = self.run_dir / f"session-{self.count}"
         work.mkdir(parents=True)
         config = work / "config.json"
-        spans = self.run_dir / f"spans-{self.count}.json"
         config.write_text(json.dumps({
             "workload": self.workload,
             "inputs": str(self.run_dir / "inputs"),
             "work": str(work),
-            "first": share * self.ops,
-            "ops": self.ops,
+            "first": first,
+            "ops": n_ops,
             "trace": trace,
-            "spans_out": str(spans),
+            "spans_out": str(self.spans),
         }))
         spawned = time.monotonic()
         proc = subprocess.Popen(
@@ -132,9 +143,7 @@ class Runner:
         if proc.returncode != 0:
             raise RuntimeError(f"{self.workload} session exited with {proc.returncode}")
         result = json.loads(stdout.decode().strip().splitlines()[-1])
-        result["setup_s"] = result["ready_at"] - spawned - result["prep_s"]
-        if trace:
-            result["trace"] = json.loads(spans.read_text())
+        result["setup_wall_s"] = result["ready_at"] - spawned - result["prep_s"]
         shutil.rmtree(work, ignore_errors=True)
         return result
 
@@ -148,44 +157,37 @@ def _kill_group(pgid: int) -> None:
 
 
 def end_to_end(sessions: list[dict]) -> tuple[dict, dict]:
-    """End-to-end metrics over the pooled ops of *sessions*."""
-    latencies = [ms for s in sessions for ms in s["latencies_ms"]]
-    p90 = percentile(latencies, 90)
+    """End-to-end metrics over the pooled ops of *sessions*, and details."""
+    cpu_ms = [ms for s in sessions for ms in s["cpu_ms"]]
+    wall_ms = [ms for s in sessions for ms in s["latencies_ms"]]
+    p90 = percentile(cpu_ms, 90)
     metrics = {
-        "setup_s": (median(s["setup_s"] for s in sessions), "s"),
-        "ops_per_s": (len(latencies) / sum(s["wall_s"] for s in sessions), "op/s"),
-        "p50_ms": (median(latencies), "ms"),
+        "setup_s": (median(s["setup_cpu_s"] for s in sessions), "s"),
+        "ops_per_s": (len(cpu_ms) / sum(s["cpu_s"] for s in sessions), "op/s"),
+        "p50_ms": (median(cpu_ms), "ms"),
         "p90_ms": (p90.value, "ms"),
         "peak_rss_mib": (max(s["peak_rss_mib"] for s in sessions), "MiB"),
     }
     details = {
-        "setup_samples_s": [s["setup_s"] for s in sessions],
+        "setup_samples_s": [s["setup_cpu_s"] for s in sessions],
         "samples": p90.n,
         "p90_beyond": p90.beyond,
+        "session_p50_ms": [median(s["cpu_ms"]) for s in sessions],
+        "wall": {
+            "setup_s": median(s["setup_wall_s"] for s in sessions),
+            "ops_per_s": len(wall_ms) / sum(s["wall_s"] for s in sessions),
+            "p50_ms": median(wall_ms),
+            "p90_ms": percentile(wall_ms, 90).value,
+        },
     }
     return metrics, details
 
 
-def merge_traces(traces: list[dict]) -> dict:
-    """One trace document from the sessions' (op ids never collide)."""
-    merged: dict = {"spans": [], "counts": {}, "ops": []}
-    for trace in traces:
-        offset = len(merged["spans"])
-        merged["spans"] += [
-            [n, s, e, p + offset if p >= 0 else -1, op] for n, s, e, p, op in trace["spans"]
-        ]
-        merged["counts"].update(trace["counts"])
-        merged["ops"] += trace["ops"]
-    return merged
-
-
-def per_layer(plain: list[dict], traced: list[dict], state: Path, workload: str) -> dict:
-    """Per-layer metrics of the traced sessions, and the tracing overhead."""
-    merged = merge_traces([s["trace"] for s in traced])
-    (state / f"spans-{workload}.json").write_text(json.dumps(merged))
-    values = layer_metrics(merged["spans"], merged["counts"], merged["ops"], LAYERS)
-    plain_p50 = median(ms for s in plain for ms in s["latencies_ms"])
-    traced_p50 = median(ms for s in traced for ms in s["latencies_ms"])
+def per_layer(plain: dict, traced: dict, spans: Path) -> dict:
+    """Per-layer metrics of the traced session, and the tracing overhead."""
+    trace = json.loads(spans.read_text())
+    values = layer_metrics(trace["spans"], trace["counts"], trace["ops"], LAYERS)
+    plain_p50, traced_p50 = median(plain["cpu_ms"]), median(traced["cpu_ms"])
     values["tracing.overhead_pct"] = (traced_p50 - plain_p50) / plain_p50 * 100.0
     return {layer.name: (values[layer.name], layer.unit) for layer in LAYERS}
 
@@ -217,16 +219,15 @@ def main(argv: list[str] | None = None) -> int:
             "sessions": SESSIONS, "ops_per_session": ops,
             "input_sha256": digests, "generate_s": time.monotonic() - began,
         }
-        runner = Runner(args.workload, run_dir, ops, started)
+        spans = state / f"spans-{args.workload}.json"
+        runner = Runner(args.workload, run_dir, spans, started)
         if args.trace:
-            plain, traced = [], []
-            for share in range(SESSIONS):
-                plain.append(runner.session(share))
-                traced.append(runner.session(share, trace=True))
-            metrics = per_layer(plain, traced, state, args.workload)
-            measured = plain + traced
+            plain = runner.session(0, ops)
+            traced = runner.session(0, SESSIONS * ops, trace=True)
+            metrics = per_layer(plain, traced, spans)
+            measured = [plain, traced]
         else:
-            measured = [runner.session(share) for share in range(SESSIONS)]
+            measured = [runner.session(share * ops, ops) for share in range(SESSIONS)]
             metrics, more = end_to_end(measured)
             details.update(more)
     finally:

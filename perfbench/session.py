@@ -7,11 +7,14 @@ working directory)::
 
 The session imports the program, prepares its inputs, starts the
 program (the job server, for ``serve``) and runs the warm-up ops.  Its
-set-up ends when the first timed op would start; the parent times it
-from the moment it spawned this process, minus the input preparation
-reported here.  Then the session runs its share of the run's timed ops
+set-up ends when the first timed op would start.  Set-up CPU time is
+what the program's processes used until then (this process from its
+start, the job server and its workers), less the input preparation;
+the parent also times set-up on the wall clock, from spawning this
+process.  Then the session runs its share of the run's timed ops
 (numbered from ``first``), traced when asked, and prints one JSON line:
-op latencies and outcomes, the timed phase's wall time and peak RSS.
+each op's wall and CPU time and outcome, the timed phase's wall and CPU
+time, and peak RSS.
 A traced session also writes its spans, counts and op ids to
 ``spans_out`` (:meth:`perfbench.tracing.Tracer.dump`).
 """
@@ -35,20 +38,20 @@ def main(argv: list[str]) -> int:
     first, n_ops = int(config["first"]), int(config["ops"])
     workload = make_workload(name, Path(config["inputs"]), Path(config["work"]), traced=traced)
     workload.imports()
-    started = time.monotonic()
+    started, prep_cpu_s = time.monotonic(), time.process_time()
     workload.prepare()
-    prep_s = time.monotonic() - started
+    prep_s, prep_cpu_s = time.monotonic() - started, time.process_time() - prep_cpu_s
     try:
         workload.start()
         workload.warm_up()
-        ready_at = time.monotonic()
+        ready_at, setup_cpu_s = time.monotonic(), workload.cpu_s() - prep_cpu_s
         tracer = None
         if traced:
             tracer = Tracer()
             install(tracer, CLIENT_TARGETS if name == "serve" else TARGETS)
-        began = time.perf_counter()
+        began, cpu_s = time.perf_counter(), workload.cpu_s()
         records = workload.run(first, n_ops, tracer)
-        wall_s = time.perf_counter() - began
+        wall_s, cpu_s = time.perf_counter() - began, workload.cpu_s() - cpu_s
     finally:
         peak_mib = workload.stop()
     workload.verify(records)
@@ -58,9 +61,12 @@ def main(argv: list[str]) -> int:
     print(json.dumps({
         "ready_at": ready_at,
         "prep_s": prep_s,
+        "setup_cpu_s": setup_cpu_s,
         "wall_s": wall_s,
+        "cpu_s": cpu_s,
         "peak_rss_mib": peak_mib,
         "latencies_ms": [record.latency_s * 1000.0 for record in records],
+        "cpu_ms": [record.cpu_s * 1000.0 for record in records],
         "ok": [record.ok for record in records],
     }))
     return 0

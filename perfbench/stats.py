@@ -26,11 +26,11 @@ class Percentile:
     beyond: int
 
 
-def percentile(values: Sequence[float], q: float, *, min_beyond: int = MIN_BEYOND) -> Percentile:
+def percentile(values: Sequence[float], q: float) -> Percentile:
     """Nearest-rank *q*-th percentile of *values*.
 
-    Raises :class:`ValueError` unless at least *min_beyond* samples lie
-    above the rank it picks, so a tail figure is never read off a
+    Raises :class:`ValueError` unless at least ``MIN_BEYOND`` samples
+    lie above the rank it picks, so a tail figure is never read off a
     handful of samples.  For ``q=90`` that takes 100 samples.
     """
     n = len(values)
@@ -38,10 +38,10 @@ def percentile(values: Sequence[float], q: float, *, min_beyond: int = MIN_BEYON
         raise ValueError("no samples")
     rank = max(1, math.ceil(q / 100.0 * n))
     beyond = n - rank
-    if beyond < min_beyond:
+    if beyond < MIN_BEYOND:
         raise ValueError(
             f"p{q:g} of {n} samples has {beyond} beyond it; "
-            f"need at least {min_beyond}"
+            f"need at least {MIN_BEYOND}"
         )
     return Percentile(q=q, value=sorted(values)[rank - 1], n=n, beyond=beyond)
 

@@ -8,7 +8,9 @@ Run from the repository root::
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -16,9 +18,10 @@ import pytest
 
 from perfbench import workloads
 from perfbench.layers import LAYERS
-from perfbench.stats import layer_metrics, percentile
+from perfbench.run import end_to_end
+from perfbench.stats import MIN_BEYOND, layer_metrics, percentile
 from perfbench.tracing import Target, Tracer, install, self_times
-from perfbench.workloads import OpRecord, Serve, Track, Watch, generate
+from perfbench.workloads import OpRecord, Serve, Track, Watch, generate, tree_cpu_s
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
@@ -29,10 +32,11 @@ if str(ROOT / "src") not in sys.path:
 
 
 def test_percentile_needs_ten_samples_beyond():
+    assert MIN_BEYOND == 10
     values = [float(v) for v in range(1, 101)]
     p90 = percentile(values, 90)
-    assert (p90.value, p90.n, p90.beyond) == (90.0, 100, 10)
-    with pytest.raises(ValueError, match="9 beyond"):
+    assert (p90.value, p90.n, p90.beyond) == (90.0, 100, MIN_BEYOND)
+    with pytest.raises(ValueError, match=f"{MIN_BEYOND - 1} beyond"):
         percentile(values[:99], 90)
 
 
@@ -40,6 +44,51 @@ def test_percentile_reports_sample_count_and_uses_nearest_rank():
     values = [5.0, 1.0, 4.0, 2.0, 3.0] * 40
     p50 = percentile(values, 50)
     assert (p50.value, p50.n, p50.beyond) == (3.0, 200, 100)
+
+
+def test_end_to_end_times_are_cpu_times_pooled_over_sessions():
+    def session(cpu_ms, setup_cpu_s):
+        return {"cpu_ms": cpu_ms, "latencies_ms": [2 * ms for ms in cpu_ms],
+                "cpu_s": sum(cpu_ms) / 1000, "wall_s": sum(cpu_ms) / 500,
+                "setup_cpu_s": setup_cpu_s, "setup_wall_s": 2 * setup_cpu_s,
+                "peak_rss_mib": 10.0 + setup_cpu_s}
+
+    cpu_ms = [float(v) for v in range(1, 101)]
+    metrics, details = end_to_end(
+        [session(cpu_ms[:40], 1.0), session(cpu_ms[40:70], 3.0), session(cpu_ms[70:], 2.0)]
+    )
+    values = {name: value for name, (value, _) in metrics.items()}
+    assert values == pytest.approx({
+        "setup_s": 2.0, "ops_per_s": 100 / 5.05, "p50_ms": 50.5, "p90_ms": 90.0,
+        "peak_rss_mib": 13.0,
+    })
+    assert (details["samples"], details["p90_beyond"]) == (100, 10)
+    assert details["wall"]["p50_ms"] == pytest.approx(101.0)
+
+
+def test_tree_cpu_counts_the_reaped_children_of_a_process():
+    script = (
+        "import os, sys, time\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    end = time.process_time() + 0.3\n"
+        "    while time.process_time() < end:\n"
+        "        pass\n"
+        "    os._exit(0)\n"
+        "os.waitpid(pid, 0)\n"
+        "print('reaped', flush=True)\n"
+        "sys.stdin.read()\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", script], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "reaped\n"
+        own = time.clock_gettime((~proc.pid << 3) | 2)
+        assert own < 0.25
+        # The child's 0.3 s arrive in whole clock ticks.
+        assert tree_cpu_s(proc.pid) >= own + 0.28
+    finally:
+        proc.communicate("", timeout=30)
 
 
 # -- spans --------------------------------------------------------------------
@@ -195,7 +244,7 @@ def test_stream_differing_from_batch_fails_all_its_updates(tmp_path):
     watch.streams = [(0, stream), (per_stream, stream)]
     answers = iter([stream, other])
     watch.Tracker = lambda frames: types.SimpleNamespace(run=lambda: next(answers))
-    records = [OpRecord(0.1, True) for _ in range(2 * per_stream)]
+    records = [OpRecord(0.1, 0.1, True) for _ in range(2 * per_stream)]
     watch.verify(records)
     assert all(record.ok for record in records[:per_stream])
     assert not any(record.ok for record in records[per_stream:])

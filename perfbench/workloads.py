@@ -19,7 +19,7 @@ process, one at a time (a closed loop with one client):
     over its window frames; a mismatch fails every update of the stream.
 ``serve``
     ``repro-track serve --port 0 --workers 1`` in its own process.  One
-    op is one job: submit, poll ``GET /jobs/{id}`` every 10 ms, fetch
+    op is one job: submit, poll ``GET /jobs/{id}`` every 20 ms, fetch
     ``result.json``.  Inputs are HydroC block-size sweeps (Table 2: 12
     images), two specs for each of two tenants, so after one warm-up
     job per spec every tenant's frame-label cache is warm.  Check: the
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import re
 import resource
@@ -52,42 +53,47 @@ __all__ = ["WORKLOADS", "OpRecord", "generate", "make_workload", "ops_for"]
 
 WORKLOADS = ("track", "watch", "serve")
 
-#: Nominal ops per second of each workload.  A run executes about
-#: ``seconds * rate`` ops (at least ``MIN_OPS``) -- a count fixed by the
-#: arguments, never by how fast the program is, so every run and every
-#: commit sees the same history length.
-RATES = {"track": 5.0, "watch": 7.5, "serve": 5.0}
+#: Nominal ops per second.  A run executes about ``seconds * RATE`` ops
+#: (at least ``MIN_OPS``) -- a count fixed by the arguments, never by how
+#: fast the program is, so every run and every commit sees the same
+#: history length.
+RATE = 5.0
 #: Enough ops that at least 10 lie beyond the 90th percentile.
 MIN_OPS = 100
-#: Sessions (fresh processes) per run; the timed ops are split evenly.
-#: On a shared host one process can run 10 % slower than the next for
-#: its whole life; pooling three per run averages that out.
+#: Sessions (fresh processes) per run.  ``setup_s`` is the median of
+#: their set-ups, and the timed ops are split evenly over them, which
+#: costs no more than running them all in one session.
 SESSIONS = 3
 
 TRACK_POOL = 4
-#: Half the paper's 128 -> 256, a quarter of its bursts: a run of 100
-#: ops must fit the time budget on a slow host.  Still 12 regions at 100 %.
+#: A quarter of the paper's 128 -> 256 ranks and bursts (6.9k): a run of
+#: 100 ops must fit the time budget on a slow host.  Still 12 regions at 100 %.
 TRACK_RANKS = (32, 64)
 TRACK_REGIONS = 12
 
 WATCH_POOL = 3
 WATCH_RANKS = 32
-#: One iteration per window: every window holds the same bursts.
-WATCH_WINDOWS = 51
+#: One iteration per window: every window holds the same bursts.  With
+#: 35 windows the last fifth of a stream's updates cost three times the
+#: first fifth in CPU time.
+WATCH_WINDOWS = 35
 WATCH_WARMUP_WINDOWS = 11
 
 SERVE_TENANTS = ("tenant-a", "tenant-b")
 SERVE_SPECS_PER_TENANT = 2
 SERVE_REGIONS = 2
 #: Client poll interval; well below job latency, the same on every commit.
-POLL_S = 0.010
+#: A poll costs the client and the server about 1.7 ms of CPU time, and
+#: a job sees as many polls as its wall time allows, so polls tie the
+#: job's CPU time to host load.  At 20 ms they are under a tenth of it.
+POLL_S = 0.020
 _TERMINAL = ("done", "failed", "cancelled")
 _URL = re.compile(r" on (http://\S+)")
 
 
 def ops_for(workload: str, seconds: int) -> int:
     """Timed ops of one session; ``watch`` runs whole streams."""
-    ops = -(-max(MIN_OPS, round(seconds * RATES[workload])) // SESSIONS)
+    ops = -(-max(MIN_OPS, round(seconds * RATE)) // SESSIONS)
     if workload == "watch":
         per_stream = WATCH_WINDOWS - 1
         ops = -(-ops // per_stream) * per_stream
@@ -189,10 +195,24 @@ def _generate_serve(seed: int, out: Path) -> list[Path]:
 
 @dataclass
 class OpRecord:
-    """One timed op: latency in seconds and whether its output checked."""
+    """One timed op: wall and CPU seconds, and whether its output checked."""
 
     latency_s: float
+    cpu_s: float
     ok: bool
+
+
+def tree_cpu_s(pid: int) -> float:
+    """CPU seconds used so far by process *pid* and its reaped children.
+
+    The process's own threads are read from its CPU clock, in
+    nanoseconds; its reaped children (the job server's workers) only
+    from ``/proc/<pid>/stat``, in clock ticks.  Linux only.
+    """
+    own = time.clock_gettime((~pid << 3) | 2)  # CPUCLOCK_SCHED of the process
+    # Fields from the third on; cutime and cstime are fields 16 and 17.
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return own + (int(fields[13]) + int(fields[14])) / os.sysconf("SC_CLK_TCK")
 
 
 def _report_failure(what: str) -> None:
@@ -223,6 +243,10 @@ class Workload:
     def reset(self) -> None:
         """Called before every op, outside its timing."""
 
+    def cpu_s(self) -> float:
+        """CPU seconds the program's processes have used so far."""
+        return time.process_time()
+
     def warm_up(self) -> None:
         for index in range(self.warmup_ops):
             self.reset()
@@ -235,16 +259,17 @@ class Workload:
             self.reset()
             if tracer is not None:
                 tracer.begin_op(index)
-            started = time.perf_counter()
+            started, cpu = time.perf_counter(), self.cpu_s()
             try:
                 output = self.op(index)
             except Exception:
                 _report_failure(f"{self.name} op {index}")
                 output = None
-            latency = time.perf_counter() - started
+            latency, cpu = time.perf_counter() - started, self.cpu_s() - cpu
             if tracer is not None:
                 tracer.end_op()
-            records.append(OpRecord(latency, output is not None and self.check(index, output)))
+            ok = output is not None and self.check(index, output)
+            records.append(OpRecord(latency, cpu, ok))
         return records
 
     def ops(self, first: int, n_ops: int) -> list:
@@ -369,10 +394,10 @@ class Watch(Workload):
         """Whole streams; op ``(stream, k)`` ends at the stream's k-th update."""
         records: list[OpRecord] = []
         for index in self._streams(first, n_ops):
-            stamps: list[float] = []
+            stamps: list[tuple[float, float]] = []
 
             def on_update(update, index=index, stamps=stamps) -> None:
-                stamps.append(time.perf_counter())
+                stamps.append((time.perf_counter(), self.cpu_s()))
                 if tracer is not None:
                     tracer.end_op()
                     tracer.begin_op((index, len(stamps)))
@@ -387,10 +412,14 @@ class Watch(Workload):
                 result = None
             if tracer is not None:
                 tracer.end_op()  # the stream's tail after its last update
-            latencies = [b - a for a, b in zip(stamps, stamps[1:])]
-            latencies += [0.0] * (self.per_stream - len(latencies))
+            updates = [
+                OpRecord(b[0] - a[0], b[1] - a[1], result is not None)
+                for a, b in zip(stamps, stamps[1:])
+            ]
+            # An update that never came is a failed op.
+            updates += [OpRecord(0.0, 0.0, False) for _ in range(self.per_stream - len(updates))]
             self.streams.append((len(records), result))
-            records.extend(OpRecord(latency, result is not None) for latency in latencies)
+            records.extend(updates)
         return records
 
     def ops(self, first: int, n_ops: int) -> list:
@@ -467,6 +496,15 @@ class Serve(Workload):
     def warm_up(self) -> None:
         super().warm_up()
         self.jobs.clear()  # only timed jobs are folded into the trace
+
+    def cpu_s(self) -> float:
+        """CPU seconds of this client, the job server and its finished workers.
+
+        A job's worker is reaped before its status turns ``done``, so
+        its CPU time is in by the time the client has seen the result.
+        """
+        own = time.process_time()
+        return own if self.proc is None else own + tree_cpu_s(self.proc.pid)
 
     def op(self, index: int) -> tuple[dict, bytes]:
         tenant, spec, _ = self.pool[index % len(self.pool)]
