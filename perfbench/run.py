@@ -21,7 +21,9 @@ processes that run the program: the session for ``track`` and
 ``watch``; for ``serve``, the client, the job server and its workers.
 CPU time leaves out what the wall clock adds on a shared host, above
 all the time the hypervisor runs other guests on this one's CPUs
-(steal).  The program runs serially on one thread, so for ``track`` and
+(steal); it still follows the speed of the host's cores, which such a
+host can change by half within minutes.  The program runs serially on
+one thread, so for ``track`` and
 ``watch`` an op's CPU time is its latency on an idle host; for ``serve``
 it is the work a job costs the client, the server and the worker,
 including the client's polls and the server's answers to them.
