@@ -178,6 +178,17 @@ def test_one_seed_gives_byte_identical_inputs(tmp_path):
     assert all(first[name] != other[name] for name in first)
 
 
+def test_serve_redraws_a_sweep_that_is_not_table2s_hydroc_row(tmp_path, capfd):
+    # The second sweep this seed draws has an image with a third, small
+    # cluster: 2 regions tracked at 66 %.
+    generate("serve", 1895885357, tmp_path)
+    assert "redrew a sweep that tracks 2 regions at 66 %" in capfd.readouterr().err
+    for index in range(len(workloads.SERVE_TENANTS) * workloads.SERVE_SPECS_PER_TENANT):
+        payload = json.loads((tmp_path / f"serve-{index}.expected").read_text())
+        n_tracked = payload["quality"]["n_tracked"]
+        assert workloads.is_table2_hydroc(n_tracked, payload["coverage"])
+
+
 # -- failed ops ---------------------------------------------------------------
 
 

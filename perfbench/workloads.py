@@ -21,10 +21,11 @@ process, one at a time (a closed loop with one client):
     ``repro-track serve --port 0 --workers 1`` in its own process.  One
     op is one job: submit, poll ``GET /jobs/{id}`` every 20 ms, fetch
     ``result.json``.  Inputs are HydroC block-size sweeps (Table 2: 12
-    images), two specs for each of two tenants, so after one warm-up
-    job per spec every tenant's frame-label cache is warm.  Check: the
-    job is ``done`` with 2 tracked regions at 100 %, and the served
-    bytes equal ``canonical_json(result_payload(spec, *execute_spec(spec)))``
+    images, 2 regions at 100 %), two specs for each of two tenants, so
+    after one warm-up job per spec every tenant's frame-label cache is
+    warm.  Check: the job is ``done`` with 2 tracked regions at 100 %,
+    and the served bytes equal
+    ``canonical_json(result_payload(spec, *execute_spec(spec)))``
     computed directly.
 
 Inputs are written by the benchmark's parent process before any timing
@@ -159,35 +160,47 @@ def _generate_watch(seed: int, out: Path) -> list[Path]:
     return written
 
 
-def serve_spec(seeds: list[int]) -> dict[str, Any]:
-    from repro.apps.hydroc import BLOCK_SIZES
-
-    return {
-        "kind": "track",
-        "app": "hydroc",
-        "scenarios": [{"block_size": size} for size in BLOCK_SIZES],
-        "seeds": seeds[: len(BLOCK_SIZES)],
-    }
-
-
 def _generate_serve(seed: int, out: Path) -> list[Path]:
+    """Specs whose direct run gives the paper's HydroC row: 2 regions, 100 %.
+
+    About one sweep in 200 has an image where noise moves a few
+    bursts into a small third cluster that the 95 % relevance cut keeps;
+    the maximum number of objects is then 3 and coverage is 66 %.  Such a
+    sweep is not the paper's input, so the next seeds of the same stream
+    are drawn instead, and the redraw is reported on stderr.
+    """
     from repro.apps.hydroc import BLOCK_SIZES
     from repro.serve import JobSpec, canonical_json, result_payload
     from repro.serve.runner import execute_spec
 
-    n_specs = len(SERVE_TENANTS) * SERVE_SPECS_PER_TENANT
-    seeds = _seeds("serve", seed, n_specs * len(BLOCK_SIZES))
-    written = []
-    for index in range(n_specs):
-        tenant = SERVE_TENANTS[index % len(SERVE_TENANTS)]
-        spec = serve_spec(seeds[index * len(BLOCK_SIZES):])
+    rng = random.Random(f"perfbench:serve:{seed}")
+    scenarios = [{"block_size": size} for size in BLOCK_SIZES]
+    written: list[Path] = []
+    while len(written) < len(SERVE_TENANTS) * SERVE_SPECS_PER_TENANT:
+        spec = {"kind": "track", "app": "hydroc", "scenarios": scenarios,
+                "seeds": [rng.randrange(2**31) for _ in BLOCK_SIZES]}
+        job = JobSpec.from_dict(spec)
+        result, failures = execute_spec(job)
+        if not is_table2_hydroc(len(result.tracked_regions), result.coverage):
+            print(
+                f"perfbench: serve seed {seed}: redrew a sweep that tracks "
+                f"{len(result.tracked_regions)} regions at {result.coverage} %",
+                file=sys.stderr,
+            )
+            continue
+        index = len(written)
         path = out / f"serve-{index}.json"
+        tenant = SERVE_TENANTS[index % len(SERVE_TENANTS)]
         path.write_text(json.dumps({"tenant": tenant, "spec": spec}, sort_keys=True))
         written.append(path)
-        job = JobSpec.from_dict(spec)
-        expected = canonical_json(result_payload(job, *execute_spec(job)))
+        expected = canonical_json(result_payload(job, result, failures))
         (out / f"serve-{index}.expected").write_text(expected, encoding="utf-8")
     return written
+
+
+def is_table2_hydroc(n_tracked: int, coverage: float) -> bool:
+    """Whether a result is Table 2's HydroC row: 2 tracked regions at 100 %."""
+    return n_tracked == SERVE_REGIONS and coverage == 100
 
 
 # -- ops (session process) ------------------------------------------------
@@ -525,8 +538,7 @@ class Serve(Workload):
         summary = record.get("summary", {})
         return (
             record.get("state") == "done"
-            and summary.get("n_tracked") == SERVE_REGIONS
-            and summary.get("coverage") == 100
+            and is_table2_hydroc(summary.get("n_tracked"), summary.get("coverage"))
             and body == self.pool[index % len(self.pool)][2]
         )
 
