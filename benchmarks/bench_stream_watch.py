@@ -14,11 +14,10 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import BENCH_SEED, run_once
-from repro.api import track_stream
 from repro.apps import wrf
 from repro.clustering.frames import FrameSettings, make_frames
 from repro.parallel.cache import PipelineCache
-from repro.stream import slice_trace, track_windows
+from repro.stream import IncrementalTracker, SpaceBounds, slice_trace, track_windows
 from repro.tracking.tracker import Tracker
 
 SETTINGS = FrameSettings(relevance=0.995)
@@ -43,8 +42,14 @@ def test_perf_incremental_vs_batch(benchmark):
     batch = Tracker(frames).run()
     batch_s = time.perf_counter() - start
 
+    def push_all():
+        tracker = IncrementalTracker(bounds=SpaceBounds.from_frames(frames))
+        for frame in frames:
+            tracker.push(frame)
+        return tracker.result()
+
     start = time.perf_counter()
-    incremental = run_once(benchmark, lambda: track_stream(frames))
+    incremental = run_once(benchmark, push_all)
     incremental_s = time.perf_counter() - start
 
     assert incremental.regions == batch.regions

@@ -38,7 +38,6 @@ from repro.api import (
     make_frames,
     quick_track,
     track_frames,
-    track_stream,
 )
 from repro.clustering import ClusterSet, DBSCAN, Frame
 from repro.parallel import PipelineCache, pmap, resolve_cache, resolve_jobs
@@ -91,7 +90,6 @@ __all__ = [
     "resolve_jobs",
     "slice_trace",
     "track_frames",
-    "track_stream",
     "track_windows",
     "validate_frame",
     "validate_study",

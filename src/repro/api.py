@@ -24,13 +24,11 @@ from repro.trace.trace import Trace
 if TYPE_CHECKING:
     from repro.parallel.cache import PipelineCache
     from repro.robust.partial import PartialResult
-    from repro.stream.forecast import WatchTelemetry
 
 __all__ = [
     "cluster_trace",
     "make_frames",
     "track_frames",
-    "track_stream",
     "quick_track",
 ]
 
@@ -50,57 +48,6 @@ def track_frames(
 ) -> TrackingResult:
     """Track objects across already-built frames."""
     return Tracker(frames, config).run(jobs=jobs)
-
-
-def track_stream(
-    frames: list[Frame],
-    config: TrackerConfig | None = None,
-    *,
-    strict: bool = True,
-    telemetry: "WatchTelemetry | None" = None,
-) -> "TrackingResult | PartialResult[TrackingResult]":
-    """Track already-built frames through the incremental tracker.
-
-    A :func:`track_frames`-compatible shim over
-    :class:`repro.stream.IncrementalTracker`: the frame list is known up
-    front, so fixed :class:`repro.stream.SpaceBounds` are derived from
-    it and the result is bit-identical to ``Tracker(frames).run()`` —
-    but each (previous, new) pair is evaluated as its frame is pushed,
-    never the whole sequence at once.  Non-strict runs quarantine
-    failing pairs and return a :class:`~repro.robust.PartialResult`.
-    Pass a :class:`repro.stream.WatchTelemetry` (optionally carrying an
-    alert monitor) as *telemetry* to collect the health surface and
-    per-push alerts; monitoring never changes the tracking result.
-    """
-    import time
-
-    from repro.stream.incremental import IncrementalTracker, SpaceBounds
-
-    config = config or TrackerConfig()
-    bounds = SpaceBounds.from_frames(
-        frames,
-        reference=config.reference,
-        log_extensive=config.log_extensive,
-    )
-    monitor = telemetry.monitor if telemetry is not None else None
-    tracker = IncrementalTracker(
-        config, bounds=bounds, strict=strict, monitor=monitor
-    )
-    if telemetry is not None:
-        telemetry.n_windows = len(frames)
-    for frame in frames:
-        started = time.perf_counter()
-        update = tracker.push(frame)
-        if telemetry is not None:
-            telemetry.record_update(
-                update, seconds=time.perf_counter() - started
-            )
-    result = tracker.result()
-    if strict:
-        return result
-    from repro.robust.partial import PartialResult
-
-    return PartialResult(value=result, failures=tracker.failures)
 
 
 def quick_track(

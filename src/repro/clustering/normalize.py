@@ -6,8 +6,9 @@ Two scalings are used in the pipeline:
   for both axes regardless of units (IPC is O(1), instruction counts
   are O(10^9));
 - **cross-frame scale normalisation** for tracking (implemented in
-  :mod:`repro.tracking.scaling`), which builds on the
-  :class:`MinMaxScaler` here.
+  :mod:`repro.tracking.scaling`), whose
+  :class:`~repro.tracking.scaling.SpaceBounds` fits a
+  :class:`MinMaxScaler` over the union of all frames' weighted points.
 """
 
 from __future__ import annotations
@@ -43,19 +44,6 @@ class MinMaxScaler:
         if not np.isfinite(values).all():
             raise ClusteringError("values contain NaN or infinite entries")
         return cls(lo=values.min(axis=0), hi=values.max(axis=0))
-
-    @classmethod
-    def fit_union(cls, arrays: list[np.ndarray]) -> "MinMaxScaler":
-        """Fit bounds over the union of several ``(n_i, d)`` arrays.
-
-        This is how the paper adjusts intensive metrics: "the scale ...
-        is adjusted to the minimum and maximum values seen along all
-        experiments".
-        """
-        if not arrays:
-            raise ClusteringError("fit_union needs at least one array")
-        stacked = np.vstack([np.asarray(a, dtype=np.float64) for a in arrays])
-        return cls.fit(stacked)
 
     @property
     def span(self) -> np.ndarray:

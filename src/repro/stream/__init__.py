@@ -9,7 +9,7 @@ that consumes such frames as they close:
   per-rank order preserved, concatenation round-trips);
 - :class:`IncrementalTracker` + :class:`SpaceBounds` — consume frames
   one at a time, evaluating only the (previous, new) pair per step;
-  with precomputed bounds the output is bit-identical to the batch
+  with the precomputed bounds the output is bit-identical to the batch
   :class:`~repro.tracking.Tracker` (enforced by ``tests/stream``);
 - :func:`track_windows` — the end-to-end streaming pipeline behind
   ``repro-track watch``, with per-window obs metrics and
@@ -26,9 +26,10 @@ See ``docs/streaming.md``.
 from __future__ import annotations
 
 from repro.stream.forecast import StreamMonitor, WatchTelemetry, track_key
-from repro.stream.incremental import IncrementalTracker, SpaceBounds, TrackUpdate
+from repro.stream.incremental import IncrementalTracker, TrackUpdate
 from repro.stream.pipeline import track_windows, windowed_traces
 from repro.stream.window import WINDOW_KEY, WindowSpec, concat_windows, slice_trace
+from repro.tracking.scaling import SpaceBounds
 
 __all__ = [
     "WINDOW_KEY",

@@ -51,14 +51,10 @@ __all__ = [
 
 log = get_logger(__name__)
 
-#: Checkpoint payload schema written by this version.  Format 2 added
-#: the optional per-window ``alerts`` list; format-1 checkpoints (no
-#: alert fields) still load — see :data:`_ACCEPTED_FORMATS`.
+#: Checkpoint payload schema written and read by this version.  Format 2
+#: added the per-window ``alerts`` list.  A checkpoint in any other
+#: format is discarded and the run starts cold.
 _CHECKPOINT_FORMAT = 2
-
-#: Formats :func:`load_checkpoint` accepts.  Older formats simply lack
-#: newer optional fields, which default to empty on load.
-_ACCEPTED_FORMATS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -70,8 +66,7 @@ class WindowRecord:
     record).  ``pair`` / ``pair_failure`` carry the relations evaluated
     when this window's frame was pushed (``None`` for the first frame
     and for non-ok windows).  ``alerts`` holds the monitor's alerts for
-    this window when the run had alerting enabled (empty otherwise, and
-    for format-1 checkpoints written before alerting existed).
+    this window when the run had alerting enabled (empty otherwise).
     """
 
     window: int
@@ -302,7 +297,7 @@ def load_checkpoint(
     if payload is None:
         return None
     try:
-        if payload.get("format") not in _ACCEPTED_FORMATS:
+        if payload.get("format") != _CHECKPOINT_FORMAT:
             raise ValueError(f"checkpoint format {payload.get('format')!r}")
         records: list[WindowRecord] = []
         for entry in payload["windows"]:
@@ -330,7 +325,7 @@ def load_checkpoint(
                     pair_failure=_failure_from_json(entry.get("pair_failure")),
                     alerts=tuple(
                         AlertRecord.from_dict(alert)
-                        for alert in entry.get("alerts") or ()
+                        for alert in entry["alerts"]
                     ),
                 )
             )

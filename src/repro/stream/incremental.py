@@ -1,23 +1,17 @@
 """Incremental (online) tracking: consume frames one at a time.
 
 The batch :class:`~repro.tracking.tracker.Tracker` holds every frame at
-once; its cross-frame normalisation fits the shared [0, 1] box over the
-union of *all* frames' weighted points, so a streaming tracker that has
-only seen a prefix would scale differently and diverge.  The fix is
-:class:`SpaceBounds`: the per-axis min/max of the weighted points,
-precomputed from the raw metric points of every frame that will arrive
-(cheap — no clustering needed).  With fixed bounds the incremental
-normalisation is bit-identical to the batch one, every (previous, new)
-pair is evaluated by exactly the same :func:`combine_pair` inputs, and
-chaining through the shared :func:`~repro.tracking.tracker.chain_regions`
-yields identical regions — the equality the differential test suite in
+once; the one global step of its pipeline is the cross-frame
+normalisation, whose shared [0, 1] box spans *all* frames' weighted
+points.  :class:`IncrementalTracker` therefore takes that box up front
+as :class:`~repro.tracking.scaling.SpaceBounds`, precomputed from the
+raw metric points of every frame that will arrive (cheap — no
+clustering needed).  Each frame is then normalised the moment it
+arrives, exactly as the batch tracker places it, every (previous, new)
+pair is evaluated by the same :func:`combine_pair` inputs, and chaining
+through the shared :func:`~repro.tracking.tracker.chain_regions` yields
+identical regions — the equality the differential test suite in
 ``tests/stream`` asserts on every bundled application.
-
-Without bounds the tracker runs in *adaptive* mode: bounds grow as
-frames arrive and each pair is evaluated in the space known at that
-step.  That is a genuinely online approximation — useful for unbounded
-streams — and is documented as such; only the fixed-bounds mode carries
-the batch-equality guarantee.
 """
 
 from __future__ import annotations
@@ -29,21 +23,19 @@ import numpy as np
 
 from repro import obs
 from repro.clustering.frames import Frame
-from repro.clustering.normalize import MinMaxScaler
 from repro.errors import StreamError, TrackingError
-from repro.obs.log import get_logger
 from repro.robust.partial import ItemFailure
 from repro.tracking.combine import PairRelations
 from repro.tracking.coverage import coverage_percent
 from repro.tracking.evalcache import EvalCache
-from repro.tracking.scaling import NormalizedSpace, weighted_frame_points
+from repro.tracking.scaling import NormalizedSpace, SpaceBounds
 from repro.tracking.tracker import (
     TrackedRegion,
     TrackerConfig,
     TrackingResult,
     _combine_task,
     _combine_task_quarantine,
-    _empty_pair_relations,
+    _settle_pair,
     chain_regions,
 )
 
@@ -51,117 +43,7 @@ if TYPE_CHECKING:
     from repro.obs.alerts import AlertRecord
     from repro.stream.forecast import StreamMonitor
 
-__all__ = ["SpaceBounds", "TrackUpdate", "IncrementalTracker"]
-
-log = get_logger(__name__)
-
-
-@dataclass(frozen=True, slots=True)
-class SpaceBounds:
-    """Fixed per-axis bounds of the shared normalised tracking space.
-
-    Holds exactly what :class:`~repro.clustering.normalize.MinMaxScaler`
-    would fit over the union of all frames' weighted points, plus the
-    weighting anchor, so an incremental tracker can normalise each frame
-    the moment it arrives and still land bit-identically where the batch
-    tracker would put it.
-
-    Attributes
-    ----------
-    axis_names:
-        The clustering dimensions, (x, y, *extra).
-    lo / hi:
-        Per-axis minimum/maximum of the weighted points (exact float64
-        values, stored as Python floats which round-trip binary64).
-    ref_ranks:
-        Core count of the reference frame anchoring the
-        extensive-metric weighting.
-    log_extensive:
-        Whether extensive axes are normalised in log10 space.
-    """
-
-    axis_names: tuple[str, ...]
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    ref_ranks: int
-    log_extensive: bool = False
-
-    @classmethod
-    def from_raw_points(
-        cls,
-        points: list[np.ndarray],
-        nranks: list[int],
-        axes: tuple[str, ...],
-        *,
-        reference: int = 0,
-        log_extensive: bool = False,
-    ) -> "SpaceBounds":
-        """Bounds from raw metric points, before any clustering.
-
-        *points* holds one ``(n_i, d)`` raw metric matrix per future
-        frame and *nranks* the matching core counts.  This is how the
-        stream pipeline derives bounds during its pre-check pass: frame
-        construction (DBSCAN) has not run yet, but the weighted-point
-        extent only depends on the raw values.
-        """
-        if not points:
-            raise TrackingError("SpaceBounds needs at least one frame")
-        if not 0 <= reference < len(points):
-            raise TrackingError(f"reference index {reference} out of range")
-        ref_ranks = int(nranks[reference])
-        lo = np.full(len(axes), np.inf)
-        hi = np.full(len(axes), -np.inf)
-        for values, n in zip(points, nranks):
-            weighted, _ = weighted_frame_points(
-                values, int(n), axes, ref_ranks=ref_ranks,
-                log_extensive=log_extensive,
-            )
-            # min-of-mins == min over the vstacked union, exactly.
-            lo = np.minimum(lo, weighted.min(axis=0))
-            hi = np.maximum(hi, weighted.max(axis=0))
-        return cls(
-            axis_names=tuple(axes),
-            lo=tuple(float(v) for v in lo),
-            hi=tuple(float(v) for v in hi),
-            ref_ranks=ref_ranks,
-            log_extensive=log_extensive,
-        )
-
-    @classmethod
-    def from_frames(
-        cls,
-        frames: list[Frame],
-        *,
-        reference: int = 0,
-        log_extensive: bool = False,
-    ) -> "SpaceBounds":
-        """Bounds over a known frame list (the ``track_stream`` shim)."""
-        return cls.from_raw_points(
-            [frame.points for frame in frames],
-            [frame.trace.nranks for frame in frames],
-            frames[0].settings.metric_names if frames else (),
-            reference=reference,
-            log_extensive=log_extensive,
-        )
-
-    def scaler(self) -> MinMaxScaler:
-        """The shared min-max transform these bounds define."""
-        return MinMaxScaler(
-            lo=np.asarray(self.lo, dtype=np.float64),
-            hi=np.asarray(self.hi, dtype=np.float64),
-        )
-
-    def expanded(self, weighted: np.ndarray) -> "SpaceBounds":
-        """Bounds grown to also cover one more frame's weighted points."""
-        lo = np.minimum(np.asarray(self.lo), weighted.min(axis=0))
-        hi = np.maximum(np.asarray(self.hi), weighted.max(axis=0))
-        return SpaceBounds(
-            axis_names=self.axis_names,
-            lo=tuple(float(v) for v in lo),
-            hi=tuple(float(v) for v in hi),
-            ref_ranks=self.ref_ranks,
-            log_extensive=self.log_extensive,
-        )
+__all__ = ["TrackUpdate", "IncrementalTracker"]
 
 
 @dataclass(frozen=True)
@@ -204,22 +86,20 @@ class TrackUpdate:
 class IncrementalTracker:
     """Consume frames one at a time, tracking regions online.
 
-    Maintains the region registry (via incremental re-chaining of the
-    accumulated pair relations), the last frame's object inventory and
-    the per-pair pivot state, and evaluates the four evaluators only on
-    the (previous, new) frame pair at each step — the whole sequence is
-    never recomputed.
+    Holds the frames and pair relations seen so far and evaluates the
+    four evaluators only on the (previous, new) frame pair at each step
+    — the whole sequence is never re-evaluated.  After each push the
+    accumulated relations are re-chained, so every update lists the
+    regions of the whole prefix.
 
     Parameters
     ----------
     config:
         Tracker tunables (shared with the batch tracker).
     bounds:
-        Precomputed :class:`SpaceBounds`.  With bounds the output is
-        bit-identical to ``Tracker(frames).run()`` over the same frames;
-        without, the tracker runs in adaptive (approximate) mode, which
-        requires ``config.reference == 0`` because only the first frame
-        is guaranteed to be known when weighting starts.
+        Precomputed :class:`~repro.tracking.scaling.SpaceBounds` of
+        every frame that will be pushed.  The output is then
+        bit-identical to ``Tracker(frames).run()`` over the same frames.
     strict:
         When true a failing pair evaluation raises; when false the pair
         is quarantined (no relations) and recorded on :attr:`failures`.
@@ -239,15 +119,14 @@ class IncrementalTracker:
         always evaluated while both frames are live — but the final
         result's evicted frames expose aggregates only (trend means may
         differ in the last float bits; reports skip burst-level
-        visualisations).  Requires fixed *bounds* (adaptive mode must
-        retain every frame's weighted points to re-normalise).
+        visualisations).
     """
 
     def __init__(
         self,
         config: TrackerConfig | None = None,
         *,
-        bounds: SpaceBounds | None = None,
+        bounds: SpaceBounds,
         strict: bool = True,
         monitor: "StreamMonitor | None" = None,
         max_live_frames: int | None = None,
@@ -256,33 +135,18 @@ class IncrementalTracker:
         self.strict = strict
         self.bounds = bounds
         self.monitor = monitor
-        if max_live_frames is not None:
-            if max_live_frames < 1:
-                raise StreamError(
-                    f"max_live_frames must be >= 1, got {max_live_frames}"
-                )
-            if bounds is None:
-                raise StreamError(
-                    "max_live_frames requires fixed SpaceBounds: adaptive "
-                    "mode re-normalises every frame's weighted points at "
-                    "the end, so it cannot release them"
-                )
-        self.max_live_frames = max_live_frames
-        if bounds is None and self.config.reference != 0:
+        if max_live_frames is not None and max_live_frames < 1:
             raise StreamError(
-                "adaptive-bounds streaming requires config.reference == 0 "
-                f"(got {self.config.reference}); pass precomputed "
-                "SpaceBounds to anchor on a later frame"
+                f"max_live_frames must be >= 1, got {max_live_frames}"
             )
-        if bounds is not None and bounds.log_extensive != self.config.log_extensive:
+        self.max_live_frames = max_live_frames
+        if bounds.log_extensive != self.config.log_extensive:
             raise StreamError(
                 "SpaceBounds.log_extensive disagrees with "
                 "config.log_extensive; rebuild the bounds with the "
                 "tracker's configuration"
             )
-        self._scaler = bounds.scaler() if bounds is not None else None
         self._frames: list[Frame] = []
-        self._weighted: list[np.ndarray] = []
         self._weights: list[tuple[float, ...]] = []
         self._points: list[np.ndarray] = []
         self._pairs: list[PairRelations] = []
@@ -316,20 +180,6 @@ class IncrementalTracker:
         """The per-run :class:`EvalCache` occupancy counters."""
         return self._cache.info()
 
-    def _axes(self, frame: Frame) -> tuple[str, ...]:
-        axes = frame.settings.metric_names
-        if self.bounds is not None and axes != self.bounds.axis_names:
-            raise TrackingError(
-                f"frame {frame.label!r} lives in metric space {axes}, "
-                f"bounds cover {self.bounds.axis_names}"
-            )
-        if self._frames and self._frames[0].settings.metric_names != axes:
-            raise TrackingError(
-                "frames were built in different metric spaces; rebuild "
-                "them with shared FrameSettings"
-            )
-        return axes
-
     def push(
         self,
         frame: Frame,
@@ -347,80 +197,44 @@ class IncrementalTracker:
         from repro.robust.validate import validate_frame
 
         validate_frame(frame)
-        axes = self._axes(frame)
-        ref_ranks = (
-            self.bounds.ref_ranks
-            if self.bounds is not None
-            else (self._frames[0] if self._frames else frame).trace.nranks
-        )
-        weighted, axis_weights = weighted_frame_points(
-            frame.points,
-            frame.trace.nranks,
-            axes,
-            ref_ranks=ref_ranks,
-            log_extensive=self.config.log_extensive,
-        )
+        axes = frame.settings.metric_names
+        if axes != self.bounds.axis_names:
+            raise TrackingError(
+                f"frame {frame.label!r} lives in metric space {axes}, "
+                f"bounds cover {self.bounds.axis_names}"
+            )
+        points, axis_weights = self.bounds.normalize(frame)
 
         pair: PairRelations | None = None
         failure: ItemFailure | None = None
-        if self.bounds is not None:
-            points_new = self._scaler.transform(weighted)
-            points_prev = self._points[-1] if self._points else None
-        else:
-            # Adaptive mode: grow the bounds, then evaluate this pair in
-            # the space known right now.  Earlier pairs keep the space
-            # they were evaluated in — an explicit approximation.
-            if self.bounds is None and not self._frames:
-                running = SpaceBounds(
-                    axis_names=axes,
-                    lo=tuple(float(v) for v in weighted.min(axis=0)),
-                    hi=tuple(float(v) for v in weighted.max(axis=0)),
-                    ref_ranks=int(ref_ranks),
-                    log_extensive=self.config.log_extensive,
-                )
-            else:
-                running = self._running.expanded(weighted)
-            self._running = running
-            scaler = running.scaler()
-            points_new = scaler.transform(weighted)
-            points_prev = (
-                scaler.transform(self._weighted[-1]) if self._weighted else None
-            )
-
         if self._frames:
             if precomputed is not None:
                 pair, failure = precomputed
+                if failure is not None:
+                    obs.count("robust.quarantined_total", stage="pair")
             else:
                 task = (
                     len(self._pairs),
                     self._frames[-1],
                     frame,
-                    points_prev,
-                    points_new,
+                    self._points[-1],
+                    points,
                     self.config,
                     self._cache,
                 )
-                if self.strict:
-                    pair = _combine_task(task)
-                else:
-                    outcome = _combine_task_quarantine(task)
-                    if isinstance(outcome, ItemFailure):
-                        failure = outcome
-                        obs.count("robust.quarantined_total", stage="pair")
-                        log.warning("quarantined pair: %s", failure)
-                        pair = _empty_pair_relations(self._frames[-1], frame)
-                    else:
-                        pair = outcome
-            if failure is not None and precomputed is not None:
-                obs.count("robust.quarantined_total", stage="pair")
+                outcome = (
+                    _combine_task(task)
+                    if self.strict
+                    else _combine_task_quarantine(task)
+                )
+                pair, failure = _settle_pair(outcome, self._frames[-1], frame)
             self._pairs.append(pair)
             if failure is not None:
                 self._failures.append(failure)
 
         self._frames.append(frame)
-        self._weighted.append(weighted)
         self._weights.append(axis_weights)
-        self._points.append(points_new)
+        self._points.append(points)
         self._cache.retain([frame])
         self._condense()
 
@@ -444,8 +258,8 @@ class IncrementalTracker:
         Only frames older than the newest ``max_live_frames`` are
         touched, so the next pair's left side is always still live.
         Replacing the list entry drops the last strong reference to the
-        full frame (and its trace columns); the matching weighted and
-        normalised point arrays are released too.
+        full frame (and its trace columns); the matching normalised
+        point array is released too.
         """
         if self.max_live_frames is None:
             return
@@ -457,32 +271,24 @@ class IncrementalTracker:
             if isinstance(frame, FrameDigest):
                 continue
             self._frames[index] = FrameDigest.from_frame(frame)
-            dims = self._points[index].shape[1]
-            self._weighted[index] = np.empty((0, dims))
-            self._points[index] = np.empty((0, dims))
+            self._points[index] = np.empty((0, self._points[index].shape[1]))
             obs.count("stream.frames_condensed_total")
 
     def result(self) -> TrackingResult:
         """Final batch-compatible result over every frame consumed.
 
-        With fixed bounds this is exactly what
-        ``Tracker(frames, config).run()`` returns for the same frames
-        (same regions, same pair relations, same normalised space).
-        Requires at least two frames, like the batch tracker.
+        This is exactly what ``Tracker(frames, config).run()`` returns
+        for the same frames (same regions, same pair relations, same
+        normalised space).  Requires at least two frames, like the
+        batch tracker.
         """
         if len(self._frames) < 2:
             raise TrackingError("tracking needs at least two frames")
-        if self.bounds is not None:
-            scaler = self._scaler
-            points = tuple(self._points)
-        else:
-            scaler = self._running.scaler()
-            points = tuple(scaler.transform(w) for w in self._weighted)
         space = NormalizedSpace(
-            points=points,
+            points=tuple(self._points),
             weights=tuple(self._weights),
-            scaler=scaler,
-            axis_names=self._frames[0].settings.metric_names,
+            scaler=self.bounds.scaler(),
+            axis_names=self.bounds.axis_names,
         )
         regions = chain_regions(self._frames, self._pairs)
         coverage = coverage_percent(regions, self._frames)

@@ -10,7 +10,7 @@
    non-empty window.  Windows that cannot become frames raise (strict)
    or are quarantined with ``stage="window"`` (non-strict); the
    survivors' raw points feed the fixed
-   :class:`~repro.stream.incremental.SpaceBounds`, which is what makes
+   :class:`~repro.tracking.scaling.SpaceBounds`, which is what makes
    the incremental result bit-identical to the batch tracker's;
 3. **streaming pass** — build each surviving window's frame (honouring
    the frame-label cache), push it into an
@@ -54,8 +54,9 @@ from repro.stream.checkpoint import (
     stream_key,
 )
 from repro.stream.forecast import WatchTelemetry
-from repro.stream.incremental import IncrementalTracker, SpaceBounds, TrackUpdate
+from repro.stream.incremental import IncrementalTracker, TrackUpdate
 from repro.stream.window import slice_trace
+from repro.tracking.scaling import SpaceBounds
 from repro.tracking.tracker import TrackerConfig, TrackingResult
 from repro.trace.trace import Trace
 
@@ -465,17 +466,19 @@ def _replay(
     """Feed checkpointed windows back into *tracker*; return the resume index.
 
     The checkpoint must describe a prefix of this run's windows with the
-    same per-window statuses (the key pins trace digest, spec, settings,
-    config and strictness, so a mismatch means corruption); any
-    disagreement raises and the caller starts cold.
+    same per-window statuses, and each stored relation may only name
+    cluster ids of the two frames it joins (the key pins trace digest,
+    spec, settings, config and strictness, so a mismatch means
+    corruption); any disagreement raises :class:`ValueError` and the
+    caller starts cold.
 
     When the tracker carries a monitor, replayed pushes rebuild its
     trend state and alerts are *recomputed* (deterministically — the
     monitor is a pure function of the pushed frames) rather than
     trusted from the checkpoint, so a checkpoint written without
-    alerting (or by an older format) resumes into an alerting run
-    seamlessly.
+    alerting resumes into an alerting run seamlessly.
     """
+    previous: Frame | None = None
     for position, record in enumerate(stored):
         if record.window != position or position >= len(windows):
             raise ValueError(
@@ -492,13 +495,23 @@ def _replay(
                 windows[position], settings, record.labels
             )
             precomputed = None
-            if tracker.n_frames > 0:
+            if previous is not None:
                 if record.pair is None:
                     raise ValueError(
                         f"checkpoint window #{position} lacks its pair"
                     )
+                left, right = set(previous.cluster_ids), set(frame.cluster_ids)
+                if any(
+                    not (relation.left <= left and relation.right <= right)
+                    for relation in record.pair.relations
+                ):
+                    raise ValueError(
+                        f"checkpoint window #{position} relates cluster ids "
+                        "its frames lack"
+                    )
                 precomputed = (record.pair, record.pair_failure)
             update = tracker.push(frame, precomputed=precomputed)
+            previous = frame
             obs.count("stream.windows_resumed")
             if tracker.monitor is not None:
                 record = replace(record, alerts=update.alerts)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
 import numpy as np
 
 from repro import obs
@@ -28,7 +26,7 @@ from repro.tracking.coverage import coverage_percent
 from repro.tracking.scaling import NormalizedSpace, normalize_frames
 
 if TYPE_CHECKING:  # runtime import stays inside run (cycle avoidance)
-    from repro.robust.partial import PartialResult
+    from repro.robust.partial import ItemFailure, PartialResult
 
 __all__ = [
     "TrackerConfig",
@@ -100,6 +98,23 @@ def _empty_pair_relations(frame_a: Frame, frame_b: Frame) -> PairRelations:
         sequence_ab=None,
         provenance=PairProvenance(),
     )
+
+
+def _settle_pair(
+    outcome: "PairRelations | ItemFailure", frame_a: Frame, frame_b: Frame
+) -> "tuple[PairRelations, ItemFailure | None]":
+    """Split one pair task's outcome into relations and quarantine record.
+
+    A failure record is counted on ``robust.quarantined_total``, logged,
+    and stands in for evidence-free relations between the two frames.
+    """
+    from repro.robust.partial import ItemFailure
+
+    if not isinstance(outcome, ItemFailure):
+        return outcome, None
+    obs.count("robust.quarantined_total", stage="pair")
+    log.warning("quarantined pair: %s", outcome)
+    return _empty_pair_relations(frame_a, frame_b), outcome
 
 
 def _combine_chunk_task(
@@ -346,7 +361,7 @@ class Tracker:
             :class:`TrackingResult` plus the failure records.
         """
         from repro.obs import ledger as obsledger
-        from repro.robust.partial import ItemFailure, PartialResult
+        from repro.robust.partial import PartialResult
 
         config = self.config
         with obsledger.run_record(
@@ -424,16 +439,14 @@ class Tracker:
             failures: list[ItemFailure] = []
             pair_relations: list[PairRelations] = []
             for index, item in enumerate(raw):
-                if isinstance(item, ItemFailure):
-                    failures.append(item)
-                    obs.count("robust.quarantined_total", stage="pair")
-                    log.warning("quarantined pair: %s", item)
-                    item = _empty_pair_relations(
-                        self.frames[index], self.frames[index + 1]
-                    )
-                pair_relations.append(item)
+                pair, failure = _settle_pair(
+                    item, self.frames[index], self.frames[index + 1]
+                )
+                pair_relations.append(pair)
+                if failure is not None:
+                    failures.append(failure)
             with obs.span("tracking.chain"):
-                regions = self._chain(pair_relations)
+                regions = chain_regions(self.frames, pair_relations)
             coverage = coverage_percent(regions, self.frames)
             if obs.enabled():
                 run_span.set(n_regions=len(regions), coverage=coverage)
@@ -464,66 +477,70 @@ class Tracker:
                 return result
             return PartialResult(value=result, failures=tuple(failures))
 
-    def _chain(self, pair_relations: list[PairRelations]) -> list[TrackedRegion]:
-        """Chain the pairwise relations into whole-sequence regions."""
-        return chain_regions(self.frames, pair_relations)
-
 
 def chain_regions(
     frames: list[Frame], pair_relations: list[PairRelations]
 ) -> list[TrackedRegion]:
     """Chain pairwise relations into duration-ranked whole-sequence regions.
 
-    Shared by the batch :class:`Tracker` and the incremental
-    :class:`repro.stream.IncrementalTracker`: given identical frames and
-    pair relations both produce identical regions (including the
-    tie-breaking order of equal-duration regions, which follows the
-    graph component iteration order).
+    A region is an equivalence class of ``(frame, cluster)`` nodes: a
+    union-find over the nodes joins every member of each relation.
+    Regions rank by decreasing total duration; equal durations rank by
+    their earliest node in ``(frame, cluster id)`` order, and each
+    region sums its durations in that node order.  The batch
+    :class:`Tracker` calls this once, the incremental
+    :class:`repro.stream.IncrementalTracker` after every push, so the
+    same frames and pair relations give the same regions either way.
     """
-    graph = nx.Graph()
+    nodes: list[tuple[int, int]] = []
+    durations: list[float] = []
+    index: list[dict[int, int]] = []  # per frame: cluster id -> node
     for frame_index, frame in enumerate(frames):
+        index.append({})
         for cid in frame.cluster_ids:
-            graph.add_node((frame_index, cid))
-    for pair_index, pair in enumerate(pair_relations):
-        for relation in pair.relations:
-            members = [("L", cid) for cid in relation.left] + [
-                ("R", cid) for cid in relation.right
-            ]
-            # Connect every member of a relation to the first member:
-            # a star keeps the component identical to the full clique.
-            if len(members) < 2:
-                continue
-            anchor_side, anchor_cid = members[0]
-            anchor = (
-                pair_index if anchor_side == "L" else pair_index + 1,
-                anchor_cid,
-            )
-            for side, cid in members[1:]:
-                node = (pair_index if side == "L" else pair_index + 1, cid)
-                graph.add_edge(anchor, node)
+            index[frame_index][cid] = len(nodes)
+            nodes.append((frame_index, cid))
+            durations.append(frame.cluster(cid).total_duration)
 
-    regions: list[TrackedRegion] = []
-    for component in nx.connected_components(graph):
+    # Unions keep the smaller root, so every root is its class's
+    # earliest node.
+    parent = list(range(len(nodes)))
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for pair_index, pair in enumerate(pair_relations):
+        left, right = index[pair_index], index[pair_index + 1]
+        for relation in pair.relations:
+            linked = [left[cid] for cid in relation.left]
+            linked += [right[cid] for cid in relation.right]
+            for node in linked[1:]:
+                a, b = find(linked[0]), find(node)
+                parent[max(a, b)] = min(a, b)
+
+    classes: dict[int, list[int]] = {}
+    for node in range(len(nodes)):
+        classes.setdefault(find(node), []).append(node)
+    totals = {
+        root: sum(durations[node] for node in members)
+        for root, members in classes.items()
+    }
+    regions = []
+    for region_id, root in enumerate(
+        sorted(classes, key=lambda root: (-totals[root], root)), start=1
+    ):
         members: list[set[int]] = [set() for _ in frames]
-        for frame_index, cid in component:
+        for node in classes[root]:
+            frame_index, cid = nodes[node]
             members[frame_index].add(cid)
-        total = sum(
-            frames[frame_index].cluster(cid).total_duration
-            for frame_index, cid in component
-        )
         regions.append(
             TrackedRegion(
-                region_id=0,  # assigned below after ranking
+                region_id=region_id,
                 members=tuple(frozenset(m) for m in members),
-                total_duration=total,
+                total_duration=totals[root],
             )
         )
-    regions.sort(key=lambda region: -region.total_duration)
-    return [
-        TrackedRegion(
-            region_id=index + 1,
-            members=region.members,
-            total_duration=region.total_duration,
-        )
-        for index, region in enumerate(regions)
-    ]
+    return regions

@@ -31,17 +31,6 @@ class TestMinMaxScaler:
         scaler = MinMaxScaler.fit(np.asarray([[0.0], [10.0]]))
         assert scaler.transform(np.asarray([[20.0]]))[0, 0] == pytest.approx(2.0)
 
-    def test_fit_union(self):
-        a = np.asarray([[0.0, 0.0]])
-        b = np.asarray([[10.0, 1.0]])
-        scaler = MinMaxScaler.fit_union([a, b])
-        np.testing.assert_allclose(scaler.lo, [0.0, 0.0])
-        np.testing.assert_allclose(scaler.hi, [10.0, 1.0])
-
-    def test_fit_union_empty_rejected(self):
-        with pytest.raises(ClusteringError):
-            MinMaxScaler.fit_union([])
-
     def test_fit_empty_rejected(self):
         with pytest.raises(ClusteringError):
             MinMaxScaler.fit(np.empty((0, 2)))

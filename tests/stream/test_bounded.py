@@ -18,8 +18,7 @@ import pytest
 
 from repro.clustering.frames import Frame
 from repro.errors import StreamError
-from repro.stream import IncrementalTracker, track_windows
-from repro.stream.incremental import SpaceBounds
+from repro.stream import IncrementalTracker, SpaceBounds, track_windows
 from repro.tracking.digest import FrameDigest
 from repro.tracking.trends import compute_trends
 from tests.stream.test_differential import (
@@ -130,7 +129,8 @@ class TestValidation:
             IncrementalTracker(bounds=bounds, max_live_frames=0)
 
     def test_adaptive_mode_rejected(self):
-        with pytest.raises(StreamError, match="SpaceBounds"):
+        """There is no mode without bounds to bound."""
+        with pytest.raises(TypeError, match="bounds"):
             IncrementalTracker(max_live_frames=2)
 
     def test_unknown_metric_on_digest_raises(self):

@@ -1,10 +1,9 @@
-"""Checkpoint format compatibility: format-1 payloads keep loading.
+"""Checkpoint format compatibility: only the current format loads.
 
 Format 2 added the per-window ``alerts`` list.  These tests pin the
-contract: format-1 checkpoints (written before alerting existed) load
-with empty alerts and resume cleanly — including into an alerting run,
-which recomputes alerts from the replayed frames — while unknown
-formats are dropped wholesale.
+contract: a format-2 checkpoint round-trips its alerts, while any other
+format — the alert-less format 1 as much as a future one — is dropped
+wholesale and the run starts cold, like any corrupt entry.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from repro.obs.alerts import AlertConfig
 from repro.parallel.cache import PipelineCache
 from repro.stream import WatchTelemetry, slice_trace, track_windows
 from repro.stream.checkpoint import (
-    _ACCEPTED_FORMATS,
     _CHECKPOINT_FORMAT,
     load_checkpoint,
     stream_key,
@@ -49,24 +47,14 @@ def _downgrade_to_format1(cache, key):
 
 
 class TestFormatConstants:
-    def test_current_format_is_accepted(self):
-        assert _CHECKPOINT_FORMAT in _ACCEPTED_FORMATS
-
-    def test_format_one_still_accepted(self):
-        assert 1 in _ACCEPTED_FORMATS
+    def test_current_format_is_accepted(self, tmp_path):
+        _, cache, key, _ = _checkpointed_run(tmp_path)
+        assert cache.get(key)["format"] == _CHECKPOINT_FORMAT
+        assert load_checkpoint(cache, key) is not None
 
 
 class TestFormatOne:
-    def test_loads_with_empty_alerts(self, tmp_path):
-        _, cache, key, _ = _checkpointed_run(
-            tmp_path, alerts=AlertConfig()
-        )
-        _downgrade_to_format1(cache, key)
-        records = load_checkpoint(cache, key)
-        assert records is not None
-        assert all(record.alerts == () for record in records)
-
-    def test_resumes_a_plain_run(self, tmp_path):
+    def test_resume_starts_cold(self, tmp_path):
         trace, cache, key, _ = _checkpointed_run(tmp_path)
         _downgrade_to_format1(cache, key)
         reference = track_windows(trace, window_ns=DRIFT_WINDOW_NS)
@@ -75,26 +63,8 @@ class TestFormatOne:
             trace, window_ns=DRIFT_WINDOW_NS, cache=cache,
             telemetry=telemetry,
         )
-        assert telemetry.n_resumed > 0
+        assert telemetry.n_resumed == 0
         assert resumed.regions == reference.regions
-
-    def test_resumes_into_alerting_run_with_recomputed_alerts(
-        self, tmp_path
-    ):
-        trace, cache, key, _ = _checkpointed_run(tmp_path)
-        _downgrade_to_format1(cache, key)
-        reference = WatchTelemetry(alerts=AlertConfig())
-        track_windows(
-            build_drift_trace(drift=True), window_ns=DRIFT_WINDOW_NS,
-            telemetry=reference,
-        )
-        telemetry = WatchTelemetry(alerts=AlertConfig())
-        track_windows(
-            trace, window_ns=DRIFT_WINDOW_NS, cache=cache,
-            telemetry=telemetry,
-        )
-        assert telemetry.n_resumed > 0
-        assert telemetry.alerts == reference.alerts
 
 
 class TestFormatTwo:
@@ -110,11 +80,12 @@ class TestFormatTwo:
         assert stored == telemetry.alerts
 
     def test_unknown_future_format_is_dropped(self, tmp_path):
+        """Format 1, written before alerting, is as unknown as format 99."""
         _, cache, key, _ = _checkpointed_run(tmp_path)
         payload = cache.get(key)
-        payload["format"] = 99
-        cache.put(key, payload)
-        assert load_checkpoint(cache, key) is None
+        for unknown in (1, 99):
+            cache.put(key, {**payload, "format": unknown})
+            assert load_checkpoint(cache, key) is None
 
     def test_malformed_alert_entry_drops_the_checkpoint(self, tmp_path):
         _, cache, key, _ = _checkpointed_run(
@@ -127,6 +98,30 @@ class TestFormatTwo:
         tainted["alerts"][0]["kind"] = "meltdown"
         cache.put(key, payload)
         assert load_checkpoint(cache, key) is None
+
+    def test_relation_naming_a_missing_cluster_starts_cold(self, tmp_path):
+        """A stored pair relating a cluster id its frames lack (re-put with
+        a valid digest) replays into a cold start, not a crash."""
+        trace, cache, key, _ = _checkpointed_run(tmp_path)
+        payload = cache.get(key)
+        tainted = next(
+            w for w in payload["windows"]
+            if w["pair"] is not None and w["pair"]["relations"]
+        )
+        tainted["pair"]["relations"][0]["left"] = [99]
+        cache.put(key, payload)
+        reference = track_windows(trace, window_ns=DRIFT_WINDOW_NS)
+        telemetry = WatchTelemetry()
+        resumed = track_windows(
+            trace, window_ns=DRIFT_WINDOW_NS, cache=cache,
+            telemetry=telemetry,
+        )
+        assert telemetry.n_resumed == 0
+        assert resumed.regions == reference.regions
+        assert resumed.coverage == reference.coverage
+        assert [p.relations for p in resumed.pair_relations] == [
+            p.relations for p in reference.pair_relations
+        ]
 
 
 class TestKeyMismatch:

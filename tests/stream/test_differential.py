@@ -10,13 +10,15 @@ application generator, serial and parallel, cold and warm cache.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.api import make_frames, track_stream
+from repro.api import make_frames
 from repro.clustering.frames import FrameSettings
 from repro.parallel.cache import PipelineCache
-from repro.stream import slice_trace
+from repro.stream import IncrementalTracker, SpaceBounds, slice_trace
 from repro.tracking.relabel import relabel_frames
 from repro.tracking.tracker import Tracker, TrackerConfig
 
@@ -65,6 +67,28 @@ def _window_frames(app: str) -> list:
     return _frame_cache[app]
 
 
+def _push_all(frames, config, telemetry=None):
+    """Track *frames* by pushing them one at a time, as a watch does."""
+    bounds = SpaceBounds.from_frames(
+        frames,
+        reference=config.reference,
+        log_extensive=config.log_extensive,
+    )
+    tracker = IncrementalTracker(
+        config,
+        bounds=bounds,
+        monitor=telemetry.monitor if telemetry is not None else None,
+    )
+    for frame in frames:
+        started = time.perf_counter()
+        update = tracker.push(frame)
+        if telemetry is not None:
+            telemetry.record_update(
+                update, seconds=time.perf_counter() - started
+            )
+    return tracker.result()
+
+
 def _assert_equal_results(batch, incremental) -> None:
     """Field-by-field equality of a batch and an incremental result."""
     # Region equivalences: identical region ids, members and durations.
@@ -91,7 +115,7 @@ def _assert_equal_results(batch, incremental) -> None:
 def test_incremental_matches_batch(app):
     frames = _window_frames(app)
     batch = Tracker(frames, TrackerConfig()).run()
-    incremental = track_stream(frames, TrackerConfig())
+    incremental = _push_all(frames, TrackerConfig())
     _assert_equal_results(batch, incremental)
 
 
@@ -100,7 +124,7 @@ def test_incremental_matches_parallel_batch(app):
     """jobs>1 batch runs are bit-identical too (pmap determinism)."""
     frames = _window_frames(app)
     batch = Tracker(frames, TrackerConfig()).run(jobs=2)
-    incremental = track_stream(frames, TrackerConfig())
+    incremental = _push_all(frames, TrackerConfig())
     _assert_equal_results(batch, incremental)
 
 
@@ -116,7 +140,7 @@ def test_incremental_matches_batch_with_warm_cache(app, tmp_path):
     for frame_a, frame_b in zip(cold, warm):
         assert np.array_equal(frame_a.labels, frame_b.labels)
     batch = Tracker(cold, TrackerConfig()).run()
-    incremental = track_stream(warm, TrackerConfig())
+    incremental = _push_all(warm, TrackerConfig())
     _assert_equal_results(batch, incremental)
 
 
@@ -133,11 +157,9 @@ def test_alerting_monitor_is_a_pure_observer(app):
     from repro.stream import WatchTelemetry
 
     frames = _window_frames(app)
-    plain = track_stream(frames, TrackerConfig())
+    plain = _push_all(frames, TrackerConfig())
     telemetry = WatchTelemetry(alerts=AlertConfig())
-    monitored = track_stream(
-        frames, TrackerConfig(), telemetry=telemetry
-    )
+    monitored = _push_all(frames, TrackerConfig(), telemetry)
     assert telemetry.n_updates == len(frames) - 1
     _assert_equal_results(plain, monitored)
 

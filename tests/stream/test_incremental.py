@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import make_frames, track_stream
+from repro.api import make_frames
 from repro.clustering.frames import FrameSettings
 from repro.errors import StreamError, TrackingError
 from repro.robust.partial import ItemFailure, PartialResult
-from repro.stream import IncrementalTracker, SpaceBounds, slice_trace
+from repro.stream import IncrementalTracker, SpaceBounds, slice_trace, track_windows
 from repro.tracking.tracker import Tracker, TrackerConfig
 from tests.conftest import build_two_region_trace
+from tests.stream.test_differential import _push_all
 
 
 @pytest.fixture()
@@ -36,13 +37,6 @@ class TestSpaceBounds:
         assert np.array_equal(bounds.scaler().lo, batch.space.scaler.lo)
         assert np.array_equal(bounds.scaler().hi, batch.space.scaler.hi)
 
-    def test_expanded_covers_new_points(self, window_frames):
-        bounds = SpaceBounds.from_frames(window_frames[:1])
-        grown = bounds.expanded(np.array([[-5.0, 0.0], [5.0, 1e12]]))
-        assert grown.lo[0] == -5.0
-        assert grown.hi[1] == 1e12
-        assert grown.ref_ranks == bounds.ref_ranks
-
     def test_empty_and_bad_reference_rejected(self, window_frames):
         with pytest.raises(TrackingError, match="at least one"):
             SpaceBounds.from_raw_points([], [], ("ipc", "instructions"))
@@ -51,10 +45,6 @@ class TestSpaceBounds:
 
 
 class TestConstruction:
-    def test_adaptive_requires_reference_zero(self):
-        with pytest.raises(StreamError, match="reference == 0"):
-            IncrementalTracker(TrackerConfig(reference=1))
-
     def test_log_extensive_must_agree_with_bounds(self, window_frames):
         bounds = SpaceBounds.from_frames(window_frames, log_extensive=True)
         with pytest.raises(StreamError, match="log_extensive"):
@@ -95,6 +85,12 @@ class TestPush:
         with pytest.raises(TrackingError, match="metric space"):
             tracker.push(other)
 
+    def test_matches_batch(self, window_frames):
+        batch = Tracker(window_frames, TrackerConfig()).run()
+        incremental = _push_all(window_frames, TrackerConfig())
+        assert batch.regions == incremental.regions
+        assert batch.coverage == incremental.coverage
+
     def test_result_needs_two_frames(self, window_frames):
         tracker = IncrementalTracker(
             bounds=SpaceBounds.from_frames(window_frames)
@@ -104,20 +100,6 @@ class TestPush:
         tracker.push(window_frames[0])
         with pytest.raises(TrackingError, match="two frames"):
             tracker.result()
-
-
-class TestAdaptiveMode:
-    def test_adaptive_stream_tracks(self, window_frames):
-        tracker = IncrementalTracker()  # no bounds: adaptive
-        for frame in window_frames:
-            tracker.push(frame)
-        result = tracker.result()
-        assert len(result.regions) > 0
-        assert len(result.frames) == len(window_frames)
-        assert len(result.pair_relations) == len(window_frames) - 1
-        # The final space covers every frame's weighted points.
-        for points in result.space.points:
-            assert points.min() >= 0.0 and points.max() <= 1.0
 
 
 class TestQuarantine:
@@ -155,6 +137,12 @@ class TestQuarantine:
         result = tracker.result()  # still produces a result
         assert len(result.pair_relations) == 1
 
+    def test_non_strict_track_windows_returns_partial_result(self, toy_trace):
+        outcome = track_windows(toy_trace, n_windows=3, strict=False)
+        assert isinstance(outcome, PartialResult)
+        assert outcome.failures == ()
+        assert outcome.value.regions
+
     def test_precomputed_pair_replayed_verbatim(self, window_frames):
         bounds = SpaceBounds.from_frames(window_frames)
         live = IncrementalTracker(bounds=bounds)
@@ -166,17 +154,3 @@ class TestQuarantine:
             replay = replayed.push(frame, precomputed=(update.pair, None))
             assert replay.pair is update.pair
         assert replayed.result().regions == live.result().regions
-
-
-class TestTrackStreamShim:
-    def test_matches_batch(self, window_frames):
-        batch = Tracker(window_frames, TrackerConfig()).run()
-        incremental = track_stream(window_frames)
-        assert batch.regions == incremental.regions
-        assert batch.coverage == incremental.coverage
-
-    def test_non_strict_returns_partial_result(self, window_frames):
-        outcome = track_stream(window_frames, strict=False)
-        assert isinstance(outcome, PartialResult)
-        assert outcome.failures == ()
-        assert outcome.value.regions

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.clustering.frames import FrameSettings, make_frame
-from repro.errors import TrackingError
-from repro.tracking.scaling import normalize_frames
+from repro.errors import ClusteringError, TrackingError
+from repro.tracking.scaling import SpaceBounds, normalize_frames
 from tests.conftest import build_two_region_trace
 
 
@@ -89,3 +89,20 @@ class TestNormalizeFrames:
         frames = frames_for([4, 8])
         space = normalize_frames(frames)
         np.testing.assert_array_equal(space.frame_points(1), space.points[1])
+
+
+class TestSpaceBounds:
+    AXES = ("ipc", "instructions")
+
+    def test_fits_the_union_of_weighted_points(self):
+        a = np.asarray([[0.5, 4.0], [1.0, 3.0]])
+        b = np.asarray([[2.0, 1.0]])
+        bounds = SpaceBounds.from_raw_points([a, b], [4, 8], self.AXES)
+        assert bounds.lo == (0.5, 2.0)  # instructions of b weighted 8/4
+        assert bounds.hi == (2.0, 4.0)
+        assert bounds.ref_ranks == 4
+
+    def test_non_finite_points_rejected(self):
+        points = np.asarray([[np.nan, 1.0]])
+        with pytest.raises(ClusteringError, match="NaN"):
+            SpaceBounds.from_raw_points([points], [4], self.AXES)
