@@ -1,18 +1,14 @@
-"""Scaling curves for the sharded clustering and bounded watch paths.
+"""Peak-RSS curve of the bounded watch.
 
-Two questions an adopter asks before pointing the pipeline at a
-burst-scale trace:
+Before pointing ``watch`` at a burst-scale trace an adopter asks: does
+``--max-live-windows`` actually bound peak RSS as the window count
+grows?  Each configuration runs in its own subprocess because
+``ru_maxrss`` is a process-lifetime high-water mark — a single process
+could only ever report the largest configuration.
 
-- *shards*: how does cluster-then-merge wall time move with the shard
-  count on a 10^5-burst frame, and are the labels really bit-identical
-  to the whole-frame fit at every point of the curve?
-- *windows*: does ``--max-live-windows`` actually bound peak RSS as the
-  window count grows?  Each configuration runs in its own subprocess
-  because ``ru_maxrss`` is a process-lifetime high-water mark — a
-  single process could only ever report the largest configuration.
-
-Both tests print their curve and stash it in ``extra_info`` so the
-committed ``BENCH_RESULTS.json`` carries the trajectory PR over PR.
+The test prints its curve and stashes it in ``extra_info`` so the
+committed ``BENCH_RESULTS.json`` carries the trajectory commit over
+commit.
 """
 
 from __future__ import annotations
@@ -21,71 +17,16 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
-from benchmarks.conftest import BENCH_SEED, run_once
-from repro.clustering.dbscan import DBSCAN
-from repro.shard import shard_assignment, sharded_dbscan
-
-N_POINTS = 100_000
-EPS = 0.03
-MIN_PTS = 10
-SHARD_COUNTS = (2, 4, 8)
-
-
-def _burst_cloud():
-    """10^5 synthetic bursts: 20 blobs over 64 ranks, rank-correlated
-    so rank-sharding produces the straddling clusters the merge must
-    reunite."""
-    rng = np.random.default_rng(BENCH_SEED)
-    centers = rng.uniform(0.05, 0.95, size=(20, 2))
-    blob = rng.integers(0, len(centers), size=N_POINTS)
-    points = centers[blob] + rng.normal(0.0, 0.008, size=(N_POINTS, 2))
-    # Rank follows the blob index with jitter: shards cut through the
-    # middle of clusters instead of cleanly containing them.
-    ranks = (blob * 3 + rng.integers(0, 4, size=N_POINTS)) % 64
-    return points, ranks
-
-
-def test_perf_shard_scale_100k(benchmark):
-    """Whole-frame DBSCAN vs cluster-then-merge at 2/4/8 shards."""
-    points, ranks = _burst_cloud()
-
-    start = time.perf_counter()
-    whole = DBSCAN(eps=EPS, min_pts=MIN_PTS).fit(points)
-    whole_s = time.perf_counter() - start
-
-    curve: dict[int, float] = {1: whole_s}
-    for shards in SHARD_COUNTS:
-        shard_of = shard_assignment(ranks, shards)
-        run = (
-            (lambda: run_once(
-                benchmark,
-                lambda: sharded_dbscan(points, EPS, MIN_PTS, shard_of),
-            ))
-            if shards == SHARD_COUNTS[-1]
-            else (lambda: sharded_dbscan(points, EPS, MIN_PTS, shard_of))
-        )
-        start = time.perf_counter()
-        result = run()
-        curve[shards] = time.perf_counter() - start
-        np.testing.assert_array_equal(result.labels, whole.labels)
-        assert result.n_clusters == whole.n_clusters
-
-    benchmark.extra_info["n_points"] = N_POINTS
-    for shards, seconds in curve.items():
-        benchmark.extra_info[f"shards_{shards}_s"] = round(seconds, 3)
-    line = ", ".join(f"{s}sh {t:.2f}s" for s, t in curve.items())
-    print(f"\nsharded DBSCAN ({N_POINTS:,} points): {line}")
+from benchmarks.conftest import run_once
 
 
 _RSS_CHILD = """\
-import json, resource, sys, time
+import json, sys, time
 from repro.apps import wrf
 from repro.clustering.frames import FrameSettings
+from repro.obs.runtime import rss_peak_kib
 from repro.stream import track_windows
 
 n_windows = int(sys.argv[1])
@@ -98,7 +39,7 @@ result = track_windows(
 )
 print(json.dumps({
     "wall_s": time.perf_counter() - start,
-    "rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "rss_kib": rss_peak_kib(),
     "n_frames": result.n_frames,
 }))
 """

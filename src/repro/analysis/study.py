@@ -186,10 +186,10 @@ class ParametricStudy:
         seed:
             Base seed; scenario *i* runs with ``seed + i``.
         jobs:
-            Worker count for the parallel stages (scenario simulation,
-            per-trace frame construction, per-pair combination).
-            ``None`` defers to ``REPRO_JOBS``; results are bit-identical
-            to a serial run.
+            Worker count for the parallel stages (scenario simulation
+            and per-trace frame construction); pairs are tracked
+            in-process.  ``None`` defers to ``REPRO_JOBS``; results are
+            bit-identical to a serial run.
         cache:
             Optional :class:`repro.parallel.cache.PipelineCache` making
             the simulate and cluster stages incremental across runs.
@@ -253,7 +253,7 @@ class ParametricStudy:
                 frames = make_frames(
                     traces, self.settings, jobs=jobs, cache=cache
                 )
-                result = Tracker(frames, config).run(jobs=jobs)
+                result = Tracker(frames, config).run()
                 if ledger_rec is not None:
                     ledger_rec.annotate(
                         coverage=round(result.coverage, 4),
@@ -274,7 +274,7 @@ class ParametricStudy:
             self._require_two(len(survivors), failures)
             traces = [trace for trace, _ in survivors]
             frames = [frame for _, frame in survivors]
-            tracked = Tracker(frames, config).run(jobs=jobs, strict=False)
+            tracked = Tracker(frames, config).run(strict=False)
             failures.extend(tracked.failures)
             result = StudyResult(
                 study=self, traces=tuple(traces), result=tracked.value

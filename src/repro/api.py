@@ -41,13 +41,10 @@ def cluster_trace(trace: Trace, settings: FrameSettings | None = None) -> Frame:
 
 
 def track_frames(
-    frames: list[Frame],
-    config: TrackerConfig | None = None,
-    *,
-    jobs: int | None = None,
+    frames: list[Frame], config: TrackerConfig | None = None
 ) -> TrackingResult:
     """Track objects across already-built frames."""
-    return Tracker(frames, config).run(jobs=jobs)
+    return Tracker(frames, config).run()
 
 
 def quick_track(
@@ -72,9 +69,9 @@ def quick_track(
     config:
         Tracker configuration.
     jobs:
-        Worker count for the parallel stages (per-trace frame
-        construction and per-pair combination); ``None`` defers to
-        ``REPRO_JOBS``.  Results are bit-identical to a serial run.
+        Worker count for per-trace frame construction; ``None`` defers
+        to ``REPRO_JOBS``.  Pairs are tracked in-process.  Results are
+        bit-identical to a serial run.
     cache:
         Optional :class:`repro.parallel.cache.PipelineCache` reusing
         frame labellings across runs (see ``docs/performance.md``).
@@ -136,7 +133,7 @@ def quick_track(
         if strict:
             checked = [validate_trace(trace, strict=True) for trace in traces]
             frames = make_frames(checked, settings, jobs=jobs, cache=cache)
-            result = Tracker(frames, config).run(jobs=jobs)
+            result = Tracker(frames, config).run()
             if ledger_rec is not None:
                 ledger_rec.annotate(
                     coverage=round(result.coverage, 4),
@@ -168,7 +165,7 @@ def quick_track(
                 f"fewer than two frames survived quarantine "
                 f"({len(frames)} alive); failures: {detail}"
             )
-        tracked = Tracker(frames, config).run(jobs=jobs, strict=False)
+        tracked = Tracker(frames, config).run(strict=False)
         failures.extend(tracked.failures)
         if ledger_rec is not None:
             ledger_rec.annotate(

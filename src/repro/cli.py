@@ -257,13 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         "checkpointed resume (default: REPRO_CACHE; unset = no resume)",
     )
     watch.add_argument(
-        "--shards", type=int, default=1, metavar="S",
-        help="partition each window's bursts into S rank-shards and "
-        "cluster them with the cluster-then-merge engine (labels are "
-        "bit-identical to --shards 1; a throughput knob for burst-scale "
-        "windows)",
-    )
-    watch.add_argument(
         "-j", "--jobs", type=int, default=None, metavar="N",
         help="prefetch window cluster labels with N worker processes "
         "before the serial tracking pass (default: REPRO_JOBS or serial)",
@@ -709,7 +702,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             cache=_resolve_cache(args),
             on_update=on_update,
             telemetry=telemetry,
-            shards=args.shards,
             jobs=args.jobs,
             max_live_windows=args.max_live_windows,
         )

@@ -340,21 +340,9 @@ def precheck_frame_input(
 
 
 def _cluster_labels(
-    trace: Trace,
-    points: np.ndarray,
-    settings: FrameSettings,
-    *,
-    shards: int = 1,
-    shard_jobs: int | None = None,
+    trace: Trace, points: np.ndarray, settings: FrameSettings
 ) -> np.ndarray:
-    """Run the expensive clustering stages: normalise, DBSCAN, rank, filter.
-
-    With ``shards > 1`` the DBSCAN stage runs through
-    :func:`repro.shard.sharded_dbscan` — per-rank-shard clusterings
-    merged by cross-shard eps-reachability — whose labels are
-    bit-identical to the whole-frame fit, so the frame (and every cache
-    key derived from its labels) is independent of the shard count.
-    """
+    """Run the expensive clustering stages: normalise, DBSCAN, rank, filter."""
     clustering_space = _clustering_space(trace, points, settings)
 
     scaler = MinMaxScaler.fit(clustering_space)
@@ -362,18 +350,7 @@ def _cluster_labels(
     min_pts = settings.min_pts if settings.min_pts is not None else _auto_min_pts(
         points.shape[0]
     )
-    if shards > 1:
-        from repro.shard.cluster import shard_assignment, sharded_dbscan
-
-        result = sharded_dbscan(
-            scaled,
-            settings.eps,
-            min_pts,
-            shard_assignment(trace.rank, shards),
-            jobs=shard_jobs,
-        )
-    else:
-        result = DBSCAN(eps=settings.eps, min_pts=min_pts).fit(scaled)
+    result = DBSCAN(eps=settings.eps, min_pts=min_pts).fit(scaled)
 
     durations = trace.duration
     with obs.span("clustering.rank_and_filter", relevance=settings.relevance):
@@ -429,25 +406,12 @@ def _assemble_frame(
     )
 
 
-def make_frame(
-    trace: Trace,
-    settings: FrameSettings | None = None,
-    *,
-    shards: int = 1,
-    shard_jobs: int | None = None,
-) -> Frame:
+def make_frame(trace: Trace, settings: FrameSettings | None = None) -> Frame:
     """Build a :class:`Frame` from a trace.
 
     Pipeline: structural validation -> duration filter -> metric
     extraction -> per-frame min-max normalisation -> DBSCAN -> duration
     ranking -> relevance filter -> cluster object construction.
-
-    ``shards > 1`` clusters through the sharded cluster-then-merge
-    engine (see :mod:`repro.shard`); the resulting frame is
-    bit-identical to the default whole-frame path at any shard count,
-    so *shards* is a throughput knob, not part of the frame's identity
-    (it deliberately does not appear in :class:`FrameSettings` or any
-    cache key derived from it).
 
     Degenerate inputs (no/one burst, all points identical, a
     ``min_duration`` filter that removes everything) raise
@@ -468,9 +432,7 @@ def make_frame(
         eps=settings.eps,
     ) as frame_span:
         points = _metric_points(trace, settings)
-        ranked = _cluster_labels(
-            trace, points, settings, shards=shards, shard_jobs=shard_jobs
-        )
+        ranked = _cluster_labels(trace, points, settings)
         frame = _assemble_frame(trace, settings, points, ranked)
         if obs.enabled():
             frame_span.set(

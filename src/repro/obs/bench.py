@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 import platform
-import resource
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
+
+from repro.obs.runtime import rss_peak_kib
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -41,18 +41,6 @@ __all__ = [
 
 #: Version tag of the serialised benchmark-results payload.
 BENCH_SCHEMA = "repro.bench/1"
-
-
-def rss_peak_kib() -> int:
-    """The process RSS high-water mark, in KiB.
-
-    ``ru_maxrss`` is KiB on Linux and bytes on macOS; normalise so the
-    payload is comparable across both.
-    """
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - linux CI
-        peak //= 1024
-    return int(peak)
 
 
 def bench_results_payload(

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.obs.core import run_id as process_run_id
+from repro.obs.runtime import rss_peak_kib
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -94,22 +95,6 @@ def config_digest(*parts: Any) -> str:
     """
     payload = json.dumps(_canonical(parts), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def rss_peak_kib() -> int:
-    """Peak RSS of this process in KiB (0 where unavailable)."""
-    try:
-        import resource
-
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    except (ImportError, ValueError, OSError):  # pragma: no cover - exotic platform
-        return 0
-    # ru_maxrss is KiB on Linux, bytes on macOS.
-    import sys
-
-    if sys.platform == "darwin":  # pragma: no cover - mac only
-        peak //= 1024
-    return int(peak)
 
 
 class JsonlJournal:
@@ -173,11 +158,12 @@ class JsonlJournal:
             return self._segment_path(self._segment_index(current) + 1)
         return current
 
-    def append(self, event: dict[str, Any]) -> None:
+    def append(self, event: dict[str, Any]) -> bool:
         """Append one event (adds the schema tag); atomic per line.
 
-        Ledger writes must never take a run down: any OS-level failure
-        is swallowed after counting it.
+        Returns whether the whole line reached the file.  An OS-level
+        failure is swallowed, so ledger writes never take a run down;
+        callers that promise durability check the result.
         """
         record = {"schema": self.schema}
         record.update(event)
@@ -189,11 +175,11 @@ class JsonlJournal:
                 str(path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
             )
             try:
-                os.write(fd, data)
+                return os.write(fd, data) == len(data)
             finally:
                 os.close(fd)
         except OSError:
-            pass  # a full disk or revoked dir must not take the run down
+            return False  # a full disk or revoked dir
 
     # -- reading ------------------------------------------------------
 

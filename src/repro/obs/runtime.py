@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import gc
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ __all__ = [
     "active_sampler",
     "set_active_sampler",
     "current_rss_kib",
+    "rss_peak_kib",
     "open_fd_count",
     "SAMPLE_ENV",
 ]
@@ -63,12 +65,24 @@ def current_rss_kib() -> int:
             fields = fh.read().split()
         return int(fields[1]) * _PAGE_SIZE // 1024
     except (OSError, IndexError, ValueError):
-        try:
-            import resource
+        return rss_peak_kib()
 
-            return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-        except (ImportError, ValueError, OSError):  # pragma: no cover
-            return 0
+
+def rss_peak_kib() -> int:
+    """Peak RSS of this process in KiB (0 where unavailable).
+
+    ``ru_maxrss`` is KiB on Linux and bytes on macOS; normalise so
+    readings compare across both.
+    """
+    try:
+        import resource
+
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    except (ImportError, ValueError, OSError):  # pragma: no cover - exotic platform
+        return 0
+    if sys.platform == "darwin":  # pragma: no cover - mac only
+        peak //= 1024
+    return int(peak)
 
 
 def open_fd_count() -> int:

@@ -1,11 +1,12 @@
 """Executor abstraction: deterministic, ordered parallel mapping.
 
-The pipeline's three dominant stages are embarrassingly parallel —
-per scenario (simulation), per trace (frame construction) and per
-consecutive pair (the combination algorithm).  This module provides the
-one primitive they all share: :func:`pmap`, an *ordered* map that runs
-tasks either in-process (``serial`` backend) or across worker processes
-(``process`` backend over :mod:`concurrent.futures`).
+Two of the pipeline's dominant stages are embarrassingly parallel —
+per scenario (simulation) and per trace or watch window (frame
+construction).  This module provides the one primitive they share:
+:func:`pmap`, an *ordered* map that runs tasks either in-process
+(``serial`` backend) or across worker processes (``process`` backend
+over :mod:`concurrent.futures`).  Pair tracking stays in-process: a
+tracking pass is too short for a pool to pay for its startup.
 
 Guarantees:
 
@@ -37,6 +38,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from repro import obs
 from repro.obs.log import get_logger
+from repro.obs.runtime import rss_peak_kib
 
 __all__ = [
     "JOBS_ENV",
@@ -178,7 +180,7 @@ class ProcessExecutor:
                         start,
                         time.perf_counter(),
                         time.process_time() - cpu0,
-                        _worker_rss_kib(),
+                        rss_peak_kib(),
                     ),
                 )
         if obs.enabled():
@@ -223,16 +225,6 @@ class _WorkerTiming(NamedTuple):
     rss_kib: int = 0
 
 
-def _worker_rss_kib() -> int:
-    """The calling process's peak RSS in KiB (0 where unsupported)."""
-    try:
-        import resource
-
-        return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-    except (ImportError, ValueError, OSError):  # pragma: no cover
-        return 0
-
-
 def _record_worker_spans(parent, timings: Sequence[_WorkerTiming]) -> None:
     """Stitch the workers' task timings into the parent span tree.
 
@@ -273,7 +265,7 @@ def _timed_call(fn: Callable[[T], R], item: T) -> tuple[R, _WorkerTiming]:
         start,
         time.perf_counter(),
         time.process_time() - cpu0,
-        _worker_rss_kib(),
+        rss_peak_kib(),
     )
 
 

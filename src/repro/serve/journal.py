@@ -51,15 +51,15 @@ class JobJournal(JsonlJournal):
     def __init__(self, root: str | Path, **kwargs: Any) -> None:
         super().__init__(root, **kwargs)
 
-    def record(self, event: str, job_id: str, **extra: Any) -> None:
-        """Append one lifecycle event for *job_id*."""
+    def record(self, event: str, job_id: str, **extra: Any) -> bool:
+        """Append one lifecycle event for *job_id*; whether it was written."""
         payload: dict[str, Any] = {
             "event": event,
             "job_id": job_id,
             "ts": time.time(),
         }
         payload.update(extra)
-        self.append(payload)
+        return self.append(payload)
 
     def replay(self) -> dict[str, dict[str, Any]]:
         """Fold the journal into the latest known record per job.

@@ -142,7 +142,11 @@ class JobQueue:
     # -- lifecycle -----------------------------------------------------
 
     def submit(self, tenant: str, spec: JobSpec) -> JobRecord:
-        """Admit a job or raise :class:`AdmissionError`; journaled."""
+        """Admit a job or raise :class:`AdmissionError`; journaled.
+
+        Raises :class:`ServeError` when the ``submitted`` event cannot
+        be written: a job is accepted only once it is durable.
+        """
         import time
 
         with self._lock:
@@ -161,21 +165,24 @@ class JobQueue:
                     "tenant_cap",
                     f"tenant {tenant!r} already has {self.tenant_cap} active job(s)",
                 )
-            self._seq += 1
             record = JobRecord(
                 job_id=new_job_id(),
                 tenant=tenant,
                 spec=spec,
-                seq=self._seq,
+                seq=self._seq + 1,
                 submitted_at=time.time(),
             )
-            self.journal.record(
+            if not self.journal.record(
                 "submitted",
                 record.job_id,
                 tenant=tenant,
                 spec=spec.to_dict(),
                 seq=record.seq,
-            )
+            ):
+                raise ServeError(
+                    "job journal write failed; the job was not accepted"
+                )
+            self._seq = record.seq
             self._jobs[record.job_id] = record
             obs.count("serve.submitted_total", tenant=tenant)
             self._available.notify()

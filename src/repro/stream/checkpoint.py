@@ -85,16 +85,15 @@ def stream_key(
     config: TrackerConfig,
     *,
     strict: bool,
-    shards: int = 1,
     max_live: int | None = None,
     version: str = __version__,
 ) -> dict[str, Any]:
     """Cache key of one windowed streaming run.
 
-    Every knob that shapes the run participates — including *shards*
-    and the *max_live* memory bound, so a resumed run with a different
-    sharding or retention configuration starts cold instead of
-    silently adopting a checkpoint written under different settings.
+    Every knob that shapes the run participates — including the
+    *max_live* memory bound, so a resumed run with a different
+    retention configuration starts cold instead of silently adopting a
+    checkpoint written under different settings.
     """
     return {
         "kind": "stream",
@@ -103,7 +102,6 @@ def stream_key(
         "settings": _canonical(asdict(settings)),
         "config": _canonical(asdict(config)),
         "strict": bool(strict),
-        "shards": int(shards),
         "max_live": None if max_live is None else int(max_live),
         "version": version,
     }

@@ -96,12 +96,11 @@ def _window_frame(
     settings: FrameSettings,
     cache: PipelineCache | None,
     *,
-    shards: int = 1,
     labels=None,
 ) -> Frame:
     """Build one window's frame, through the frame-label cache if given.
 
-    *labels* short-circuits with a prefetched labelling (the sharded
+    *labels* short-circuits with a prefetched labelling (the
     multi-process watch computes window labels ahead of the serial push
     loop); a labelling that does not fit the window falls through to
     the normal cache/compute path.
@@ -120,7 +119,7 @@ def _window_frame(
                 return frame_from_labels(window, settings, cached)
             except ClusteringError:
                 cache.invalidate(key)
-    frame = make_frame(window, settings, shards=shards)
+    frame = make_frame(window, settings)
     if cache is not None:
         cache.put_labels(key, frame.labels)
     return frame
@@ -133,10 +132,10 @@ def _window_labels_task(task):
     first checks whether another worker (or an earlier run) already
     committed this window's labels — ``PipelineCache`` writes are
     atomic, so concurrent workers race safely and the loser merely
-    recomputes.  Labels are bit-identical at any shard count, so the
-    parent's serial push loop is unaffected by who computed what.
+    recomputes.  Labels are a pure function of the window and settings,
+    so the parent's serial push loop is unaffected by who computed what.
     """
-    window, settings, shards, cache_root = task
+    window, settings, cache_root = task
     cache = PipelineCache(cache_root) if cache_root is not None else None
     key = None
     if cache is not None:
@@ -144,7 +143,7 @@ def _window_labels_task(task):
         labels = cache.get_labels(key)
         if labels is not None:
             return labels
-    frame = make_frame(window, settings, shards=shards)
+    frame = make_frame(window, settings)
     if cache is not None:
         cache.put_labels(key, frame.labels)
     return frame.labels
@@ -165,7 +164,6 @@ def track_windows(
     cache: PipelineCache | None = None,
     on_update: Callable[[TrackUpdate], None] | None = None,
     telemetry: WatchTelemetry | None = None,
-    shards: int = 1,
     jobs: int | None = None,
     max_live_windows: int | None = None,
 ) -> "TrackingResult | PartialResult[TrackingResult]":
@@ -208,18 +206,13 @@ def track_windows(
         ``telemetry.alerts``.  Monitoring is a pure observer: the
         tracked regions/relations/labels are bit-identical with it on
         or off.
-    shards:
-        Cluster each window's bursts through the sharded
-        cluster-then-merge engine (:mod:`repro.shard`) with this many
-        rank-shards.  Labels are bit-identical at any shard count, so
-        this is purely a throughput knob; it still participates in the
-        stream key so resumed runs stay self-consistent.
     jobs:
         Worker count for the multi-process window fan-out.  More than
         one job prefetches the pending windows' cluster labels across
         ``pmap`` workers — claiming work through the (atomic) frame
         label cache when one is given — before the serial push loop
-        consumes them in order.  ``None`` defers to ``REPRO_JOBS``.
+        consumes them in order; pairs are always combined in-process.
+        ``None`` defers to ``REPRO_JOBS``.
     max_live_windows:
         Memory bound: the tracker holds at most this many full frames;
         older windows are condensed to
@@ -245,7 +238,6 @@ def track_windows(
         "stream.track_windows",
         config_digest=obsledger.config_digest(settings, config),
         strict=strict,
-        shards=shards,
     ), obs.span("stream.track_windows") as run_span:
         trace = validate_trace(trace, strict=strict)
         spec, windows = slice_trace(
@@ -318,7 +310,7 @@ def track_windows(
         if cache is not None:
             key = stream_key(
                 trace, spec.as_dict(), settings, config, strict=strict,
-                shards=shards, max_live=max_live_windows,
+                max_live=max_live_windows,
             )
             stored = load_checkpoint(cache, key)
             if stored is not None:
@@ -358,7 +350,7 @@ def track_windows(
             label_results = pmap(
                 _window_labels_task,
                 [
-                    (windows[index], settings, shards, cache_root)
+                    (windows[index], settings, cache_root)
                     for index in pending_ok
                 ],
                 jobs=jobs,
@@ -382,8 +374,7 @@ def track_windows(
                 with obs.span("stream.window", window=index):
                     started = time.perf_counter()
                     frame = _window_frame(
-                        window, settings, cache,
-                        shards=shards, labels=prefetched.get(index),
+                        window, settings, cache, labels=prefetched.get(index)
                     )
                     update = tracker.push(frame)
                     elapsed = time.perf_counter() - started

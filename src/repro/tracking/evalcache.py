@@ -18,17 +18,11 @@ pins strong references to the keyed objects so ids cannot be recycled.
 
 Caching never changes results: every entry is the return value of the
 exact call the uncached code path would make, reused verbatim — the
-differential suites (batch vs incremental, serial vs ``jobs=2``) hold
-bit-for-bit.
+batch-vs-incremental differential suite holds bit-for-bit.
 
-The cache is intentionally **not** sent across process boundaries
-(pickling k-d trees to workers would cost more than rebuilding them).
-On the serial backend ``Tracker.run`` attaches one shared cache to all
-tasks; on the process backend it groups consecutive pairs into
-per-worker chunks, and each chunk builds its own cache inside the
-worker — interior frames of a chunk are still evaluated once, and the
-workers report their ``tree_builds`` back so the parent can account
-for the sharing (``tracking.tree_builds_total``).
+``Tracker.run`` shares one cache across all of its pairs, so each frame
+builds its k-d tree once (``tracking.tree_builds_total`` counts the
+builds); the incremental tracker keeps one across pushes.
 """
 
 from __future__ import annotations
@@ -50,8 +44,7 @@ __all__ = ["EvalCache"]
 class EvalCache:
     """Memo of per-frame evaluator artefacts for one tracking run.
 
-    Not thread-safe; each run (or each worker) owns its private
-    instance.  All getters compute through the canonical evaluator
+    Not thread-safe; each run owns its private instance.  All getters compute through the canonical evaluator
     functions on a miss, so cached and uncached paths are the same
     code.
     """

@@ -19,7 +19,6 @@ from repro import obs
 from repro.clustering.frames import Frame
 from repro.errors import TrackingError
 from repro.obs.log import get_logger
-from repro.parallel.executor import SerialExecutor, get_executor, pmap
 from repro.tracking.combine import PairRelations, combine_pair
 from repro.tracking.evalcache import EvalCache
 from repro.tracking.coverage import coverage_percent
@@ -42,15 +41,11 @@ log = get_logger(__name__)
 def _combine_task(
     task: tuple[int, Frame, Frame, np.ndarray, np.ndarray, "TrackerConfig", "EvalCache | None"],
 ) -> PairRelations:
-    """Worker-side task: combine one frame pair (module-level for pickling).
+    """Combine one frame pair under a ``tracking.pair`` span.
 
-    The last element is an optional shared
-    :class:`~repro.tracking.evalcache.EvalCache`; ``Tracker.run``
-    attaches one only on the serial backend (shipping k-d trees to
-    worker processes would cost more than rebuilding them).
-
-    The ``tracking.pair`` span is recorded in-process on the serial
-    backend; worker-process spans are not collected by the parent.
+    The last element is an optional
+    :class:`~repro.tracking.evalcache.EvalCache` shared with the
+    run's other pairs.
     """
     index, frame_a, frame_b, points_a, points_b, config, cache = task
     with obs.span("tracking.pair", pair=index):
@@ -117,45 +112,11 @@ def _settle_pair(
     return _empty_pair_relations(frame_a, frame_b), outcome
 
 
-def _combine_chunk_task(
-    task: tuple[int, list[Frame], list[np.ndarray], "TrackerConfig", bool],
-) -> tuple[list, dict[str, int]]:
-    """Worker-side task: combine a run of consecutive pairs with one cache.
-
-    ``task`` is ``(start_pair_index, frames, points, config, strict)``
-    where *frames*/*points* cover pairs ``start .. start+len(frames)-2``.
-    A chunk-local :class:`EvalCache` is built inside the worker, so the
-    chunk's interior frames are evaluated once instead of once per pair
-    — the sharing the serial backend gets from its run-wide cache,
-    recovered per worker.  Returns the per-pair results in order plus
-    the cache statistics (worker-side obs counters do not propagate to
-    the parent, so tree builds travel in the result).
-    """
-    start, frames, points, config, strict = task
-    cache = EvalCache()
-    worker = _combine_task if strict else _combine_task_quarantine
-    results = [
-        worker(
-            (
-                start + k,
-                frames[k],
-                frames[k + 1],
-                points[k],
-                points[k + 1],
-                config,
-                cache,
-            )
-        )
-        for k in range(len(frames) - 1)
-    ]
-    return results, cache.info()
-
-
 def _combine_task_quarantine(
     task: tuple[int, Frame, Frame, np.ndarray, np.ndarray, "TrackerConfig", "EvalCache | None"],
 ):
-    """Non-strict worker-side task: returns a failure record, never raises
-    a :class:`~repro.errors.ReproError`."""
+    """Non-strict :func:`_combine_task`: returns a failure record, never
+    raises a :class:`~repro.errors.ReproError`."""
     from repro.errors import ReproError
     from repro.robust.partial import ItemFailure
 
@@ -340,17 +301,16 @@ class Tracker:
             )
 
     def run(
-        self, *, jobs: int | None = None, strict: bool = True
+        self, *, strict: bool = True
     ) -> "TrackingResult | PartialResult[TrackingResult]":
         """Execute the full pipeline and return the result.
 
+        Consecutive frame pairs are combined in order, in-process, and
+        share one run-wide :class:`EvalCache`, so every frame's
+        evaluator artefacts are built once.
+
         Parameters
         ----------
-        jobs:
-            Worker count for the per-pair combination fan-out (pairs
-            are independent).  ``None`` defers to ``REPRO_JOBS``; 1 is
-            serial.  The equivalence-region merge stays a serial
-            reduce, so results are bit-identical to a serial run.
         strict:
             When true (the default), a failing pair combination aborts
             the run with its :class:`~repro.errors.ReproError`.  When
@@ -378,73 +338,28 @@ class Tracker:
                     reference=config.reference,
                     log_extensive=config.log_extensive,
                 )
-            # Caches are never pickled across process boundaries.  On
-            # the serial backend a single run-wide cache is shared by
-            # every task; on the process backend consecutive pairs are
-            # grouped into one chunk per worker, each chunk building a
-            # worker-local cache, so interior frames of a chunk are
-            # still evaluated once instead of once per pair.
-            n_pairs = len(self.frames) - 1
-            executor = get_executor(jobs, n_tasks=n_pairs)
-            if isinstance(executor, SerialExecutor):
-                cache = EvalCache()
-                tasks = [
+            cache = EvalCache()
+            combine = _combine_task if strict else _combine_task_quarantine
+            failures: list[ItemFailure] = []
+            pair_relations: list[PairRelations] = []
+            for index in range(len(self.frames) - 1):
+                frame_a, frame_b = self.frames[index], self.frames[index + 1]
+                outcome = combine(
                     (
                         index,
-                        self.frames[index],
-                        self.frames[index + 1],
+                        frame_a,
+                        frame_b,
                         space.points[index],
                         space.points[index + 1],
                         config,
                         cache,
                     )
-                    for index in range(n_pairs)
-                ]
-                raw = pmap(
-                    _combine_task if strict else _combine_task_quarantine,
-                    tasks,
-                    jobs=jobs,
-                    label="tracking.pairs.pmap",
                 )
-                obs.count("tracking.tree_builds_total", cache.tree_builds)
-            else:
-                chunk_tasks = []
-                for chunk in np.array_split(
-                    np.arange(n_pairs), min(executor.jobs, n_pairs)
-                ):
-                    if not len(chunk):
-                        continue
-                    start, stop = int(chunk[0]), int(chunk[-1]) + 1
-                    chunk_tasks.append(
-                        (
-                            start,
-                            self.frames[start : stop + 1],
-                            list(space.points[start : stop + 1]),
-                            config,
-                            strict,
-                        )
-                    )
-                chunked = pmap(
-                    _combine_chunk_task,
-                    chunk_tasks,
-                    jobs=jobs,
-                    label="tracking.pairs.pmap",
-                )
-                raw = []
-                tree_builds = 0
-                for results, cache_info in chunked:
-                    raw.extend(results)
-                    tree_builds += cache_info["tree_builds"]
-                obs.count("tracking.tree_builds_total", tree_builds)
-            failures: list[ItemFailure] = []
-            pair_relations: list[PairRelations] = []
-            for index, item in enumerate(raw):
-                pair, failure = _settle_pair(
-                    item, self.frames[index], self.frames[index + 1]
-                )
+                pair, failure = _settle_pair(outcome, frame_a, frame_b)
                 pair_relations.append(pair)
                 if failure is not None:
                     failures.append(failure)
+            obs.count("tracking.tree_builds_total", cache.tree_builds)
             with obs.span("tracking.chain"):
                 regions = chain_regions(self.frames, pair_relations)
             coverage = coverage_percent(regions, self.frames)

@@ -12,7 +12,6 @@ from repro.obs.bench import (
     compare_bench_results,
     format_bench_comparison,
     load_bench_results,
-    rss_peak_kib,
 )
 
 
@@ -49,9 +48,6 @@ class TestPayloadAndLoad:
         )
         with pytest.raises(ValueError, match="wall_time_s"):
             load_bench_results(path)
-
-    def test_rss_peak_positive(self):
-        assert rss_peak_kib() > 0
 
 
 class TestCompare:

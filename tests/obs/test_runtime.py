@@ -15,6 +15,7 @@ from repro.obs.runtime import (
     current_rss_kib,
     open_fd_count,
     resolve_sampler,
+    rss_peak_kib,
     set_active_sampler,
 )
 
@@ -30,6 +31,9 @@ def clean_sampler(monkeypatch):
 class TestProbes:
     def test_rss_positive(self):
         assert current_rss_kib() > 0
+
+    def test_rss_peak_positive(self):
+        assert rss_peak_kib() > 0
 
     def test_fd_count_positive(self):
         assert open_fd_count() > 0

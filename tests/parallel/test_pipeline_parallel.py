@@ -1,8 +1,9 @@
 """End-to-end guarantees: parallel and cached runs are bit-identical.
 
-These are the acceptance tests of the parallel layer: `Tracker.run`
-and `ParametricStudy.run` must produce exactly the same output with
-``jobs=1`` and ``jobs=4``, and a warm-cache run must equal a cold one.
+These are the acceptance tests of the parallel layer: `make_frames`,
+`quick_track` and `ParametricStudy.run` must produce exactly the same
+output with ``jobs=1`` and ``jobs=4``, and a warm-cache run must equal
+a cold one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from repro.api import quick_track
 from repro.apps import wrf
 from repro.clustering.frames import FrameSettings, make_frames
 from repro.parallel.cache import PipelineCache
-from repro.tracking.tracker import Tracker
 from tests.parallel import assert_frames_equal
 
 SETTINGS = FrameSettings(relevance=0.995)
@@ -58,12 +58,6 @@ class TestBitIdenticalParallelism:
         parallel = make_frames(traces, SETTINGS, jobs=4)
         for frame_s, frame_p in zip(serial, parallel):
             assert_frames_equal(frame_s, frame_p)
-
-    def test_tracker_run_jobs(self, traces):
-        frames = make_frames(traces, SETTINGS)
-        serial = Tracker(frames).run(jobs=1)
-        parallel = Tracker(frames).run(jobs=4)
-        assert_results_identical(serial, parallel)
 
     def test_quick_track_jobs(self, traces):
         serial = quick_track(traces, settings=SETTINGS, jobs=1)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import threading
 
 import pytest
 
 from repro.errors import AdmissionError, ServeError
-from repro.serve import JobJournal, JobQueue, JobSpec
+from repro.obs.ledger import RunLedger
+from repro.serve import JobJournal, JobQueue, JobServer, JobSpec
 from repro.serve.journal import JOB_SCHEMA
+from tests.serve.test_api import raw_request
 
 SPEC = JobSpec.from_dict(
     {
@@ -196,3 +199,46 @@ class TestDurability:
         assert counts["running"] == 1 and counts["submitted"] == 1
         assert json.dumps(counts)  # JSON-safe for /healthz
         assert record.to_dict()["spec"] == SPEC.to_dict()
+
+
+def _no_space(fd, data):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Every journal line write fails as on a full disk."""
+    monkeypatch.setattr("repro.obs.ledger.os.write", _no_space)
+
+
+class TestJournalWriteFailure:
+    """Accepted means durable: a job whose journal write fails is refused."""
+
+    def test_submit_raises_and_admits_nothing(self, tmp_path, full_disk):
+        queue, _ = make_queue(tmp_path)
+        with pytest.raises(ServeError, match="journal"):
+            queue.submit("a", SPEC)
+        assert queue.jobs() == []
+        assert queue.claim_next(timeout=0) is None
+
+    def test_recover_finds_no_jobs(self, tmp_path, full_disk):
+        queue, _ = make_queue(tmp_path)
+        with pytest.raises(ServeError):
+            queue.submit("a", SPEC)
+        rebuilt = JobQueue(JobJournal(tmp_path / "journal"))
+        assert rebuilt.recover() == []
+        assert rebuilt.jobs() == []
+
+    def test_post_jobs_is_503(self, live_server, tmp_path, monkeypatch):
+        server = live_server(JobServer, tmp_path / "srv", workers=1)
+        server.runner.pause()
+        monkeypatch.setattr("repro.obs.ledger.os.write", _no_space)
+        body = json.dumps({"tenant": "acme", "spec": SPEC.to_dict()})
+        status, _ = raw_request(f"{server.url}/jobs", "POST", body.encode())
+        assert status == 503
+        assert server.queue.jobs() == []
+
+    def test_run_ledger_append_stays_best_effort(self, tmp_path, full_disk):
+        ledger = RunLedger(tmp_path)
+        assert ledger.append({"event": "start"}) is False  # must not raise
+        assert ledger.read_events() == []

@@ -125,11 +125,11 @@ class TestFormatTwo:
 
 
 class TestKeyMismatch:
-    """Sharding / memory-bound knobs participate in the stream key.
+    """The memory-bound knob participates in the stream key.
 
-    A checkpoint written under one (shards, max_live) configuration
-    must not be adopted by a run under another — the regression test
-    for the key that silently omitted them.
+    A checkpoint written under one max_live configuration must not be
+    adopted by a run under another — the regression test for the key
+    that silently omitted it.
     """
 
     def _key(self, trace, **kwargs):
@@ -141,15 +141,9 @@ class TestKeyMismatch:
 
     def test_default_key_unchanged_by_default_knobs(self, tmp_path):
         trace, cache, key, _ = _checkpointed_run(tmp_path)
-        explicit = self._key(trace, shards=1, max_live=None)
+        explicit = self._key(trace, max_live=None)
         assert explicit == key
         assert load_checkpoint(cache, explicit) is not None
-
-    def test_shard_count_mismatch_misses(self, tmp_path):
-        trace, cache, _, _ = _checkpointed_run(tmp_path)
-        sharded = self._key(trace, shards=2)
-        assert cache.get(sharded) is None
-        assert load_checkpoint(cache, sharded) is None
 
     def test_max_live_mismatch_misses(self, tmp_path):
         trace, cache, _, _ = _checkpointed_run(tmp_path)

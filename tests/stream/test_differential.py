@@ -56,14 +56,18 @@ APPS = ["wrf", "nasbt", "cgpop", "hydroc", "mrgenesis"]
 _frame_cache: dict[str, list] = {}
 
 
+def _alive_windows(app: str) -> list:
+    """The non-empty windows of a 4-window slicing of the app's trace."""
+    _, windows = slice_trace(_build_trace(app), n_windows=4)
+    alive = [w for w in windows if w.n_bursts > 0]
+    assert len(alive) >= 2, f"{app}: too few non-empty windows"
+    return alive
+
+
 def _window_frames(app: str) -> list:
-    """Frames from a 4-window slicing of the app's trace (memoised)."""
+    """Frames of the app's non-empty windows (memoised)."""
     if app not in _frame_cache:
-        trace = _build_trace(app)
-        _, windows = slice_trace(trace, n_windows=4)
-        alive = [w for w in windows if w.n_bursts > 0]
-        assert len(alive) >= 2, f"{app}: too few non-empty windows"
-        _frame_cache[app] = make_frames(alive, SETTINGS)
+        _frame_cache[app] = make_frames(_alive_windows(app), SETTINGS)
     return _frame_cache[app]
 
 
@@ -121,20 +125,18 @@ def test_incremental_matches_batch(app):
 
 @pytest.mark.parametrize("app", APPS)
 def test_incremental_matches_parallel_batch(app):
-    """jobs>1 batch runs are bit-identical too (pmap determinism)."""
-    frames = _window_frames(app)
-    batch = Tracker(frames, TrackerConfig()).run(jobs=2)
-    incremental = _push_all(frames, TrackerConfig())
+    """Batch frames built with jobs=2 track bit-identically (pmap determinism)."""
+    frames = make_frames(_alive_windows(app), SETTINGS, jobs=2)
+    batch = Tracker(frames, TrackerConfig()).run()
+    incremental = _push_all(_window_frames(app), TrackerConfig())
     _assert_equal_results(batch, incremental)
 
 
 @pytest.mark.parametrize("app", ["hydroc", "wrf"])
 def test_incremental_matches_batch_with_warm_cache(app, tmp_path):
     """Cache-served frame labels do not perturb the equivalence."""
-    trace = _build_trace(app)
     cache = PipelineCache(tmp_path / "cache")
-    _, windows = slice_trace(trace, n_windows=4)
-    alive = [w for w in windows if w.n_bursts > 0]
+    alive = _alive_windows(app)
     cold = make_frames(alive, SETTINGS, cache=cache)
     warm = make_frames(alive, SETTINGS, cache=cache)
     for frame_a, frame_b in zip(cold, warm):
@@ -177,3 +179,23 @@ def test_alerting_track_windows_matches_plain(app):
         telemetry=WatchTelemetry(alerts=AlertConfig()),
     )
     _assert_equal_results(plain, monitored)
+
+
+@pytest.mark.parametrize("app", ["wrf", "hydroc"])
+def test_multiprocess_watch_matches_serial(app, tmp_path):
+    """jobs=2 window prefetch (with cache-based work claiming) is
+    bit-identical to the serial watch."""
+    from repro.stream import track_windows
+
+    trace = _build_trace(app)
+    plain = track_windows(trace, n_windows=4, settings=SETTINGS)
+    cache = PipelineCache(tmp_path / "cache")
+    fanned = track_windows(
+        trace, n_windows=4, settings=SETTINGS, jobs=2, cache=cache,
+    )
+    assert fanned.regions == plain.regions
+    assert fanned.coverage == plain.coverage
+    for frame_a, frame_b in zip(plain.frames, fanned.frames):
+        np.testing.assert_array_equal(frame_a.labels, frame_b.labels)
+    # The prefetch committed its labels for later runs to claim.
+    assert cache.info().n_entries > 0

@@ -250,19 +250,6 @@ class TestWatchCli:
         assert "window 0" not in second
         assert "Tracked regions" in second or "regions" in second
 
-    def test_watch_sharded_output_matches_plain(self, tmp_path, capsys):
-        trace_file = self._simulate(tmp_path)
-        capsys.readouterr()
-        assert main(["watch", str(trace_file), "--windows", "4"]) == 0
-        plain = capsys.readouterr().out
-        assert main([
-            "watch", str(trace_file), "--windows", "4", "--shards", "3",
-        ]) == 0
-        sharded = capsys.readouterr().out
-        # Sharding is a throughput knob: every window line, region and
-        # trend figure comes out identical.
-        assert sharded == plain
-
     def test_watch_jobs_prefetch_matches_serial(self, tmp_path, capsys):
         trace_file = self._simulate(tmp_path)
         capsys.readouterr()

@@ -114,13 +114,11 @@ class TestTransparency:
         assert cache.hits > 0
 
 
-class TestWorkerLocalCaches:
-    """Process-backend workers share trees within their pair chunks.
+class TestRunWideCache:
+    """``Tracker.run`` shares one cache across every pair.
 
-    Regression for the serial-only cache attachment: per-pair private
-    caches cost ``2 * n_pairs`` tree builds, the chunked worker-local
-    caches cost ``n_frames + (n_chunks - 1)`` (chunk-boundary frames
-    are built twice), and the serial run-wide cache costs ``n_frames``.
+    Per-pair private caches would cost ``2 * n_pairs`` tree builds; the
+    run-wide cache builds one tree per frame.
     """
 
     @staticmethod
@@ -131,11 +129,11 @@ class TestWorkerLocalCaches:
         ]
 
     @staticmethod
-    def _run(frames, jobs):
+    def _run(frames):
         obs.enable()
         obs.reset()
         try:
-            result = Tracker(frames).run(jobs=jobs)
+            result = Tracker(frames).run()
             counters = {
                 c["name"]: c["value"]
                 for c in obs.metrics_snapshot()["counters"]
@@ -145,17 +143,16 @@ class TestWorkerLocalCaches:
             obs.reset()
             obs.disable()
 
-    def test_tree_builds_drop_under_jobs_two(self):
+    def test_one_tree_per_frame(self):
         frames = self._frames()
         n_pairs = len(frames) - 1
-        serial_result, serial_builds = self._run(frames, jobs=1)
-        parallel_result, parallel_builds = self._run(frames, jobs=2)
-        # Serial: one run-wide cache -> one tree per frame.
-        assert serial_builds == len(frames)
-        # jobs=2: chunks {0,1} and {2} -> 3 + 2 trees, strictly fewer
-        # than the 2-per-pair cost of cacheless workers.
-        assert parallel_builds == 5
-        assert parallel_builds < 2 * n_pairs
+        result, tree_builds = self._run(frames)
+        assert tree_builds == len(frames)
+        assert tree_builds < 2 * n_pairs
         # And the sharing never changes the answer.
-        assert parallel_result.regions == serial_result.regions
-        assert parallel_result.coverage == serial_result.coverage
+        points = result.space.points
+        for index, pair in enumerate(result.pair_relations):
+            uncached = combine_pair(
+                frames[index], frames[index + 1], points[index], points[index + 1]
+            )
+            assert pair.relations == uncached.relations
