@@ -16,6 +16,7 @@ __all__ = [
     "check_positive",
     "check_fraction",
     "check_nonempty",
+    "components",
     "pairwise",
     "format_si",
     "format_pct",
@@ -67,6 +68,28 @@ def pairwise(items: Iterable[T]) -> Iterable[tuple[T, T]]:
     for item in iterator:
         yield prev, item
         prev = item
+
+
+def components(n_nodes: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the undirected *links* over nodes
+    ``0 .. n_nodes - 1``: each in ascending node order, and ordered by
+    their smallest node.  Unions keep the smaller root, so every root
+    is its component's smallest node."""
+    parent = list(range(n_nodes))
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for u, v in links:
+        a, b = find(u), find(v)
+        parent[max(a, b)] = min(a, b)
+    groups: dict[int, list[int]] = {}
+    for node in range(n_nodes):
+        groups.setdefault(find(node), []).append(node)
+    return list(groups.values())
 
 
 _SI_PREFIXES = [(1e12, "T"), (1e9, "G"), (1e6, "M"), (1e3, "k")]

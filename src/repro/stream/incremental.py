@@ -33,9 +33,7 @@ from repro.tracking.tracker import (
     TrackedRegion,
     TrackerConfig,
     TrackingResult,
-    _combine_task,
-    _combine_task_quarantine,
-    _settle_pair,
+    _track_pair,
     chain_regions,
 )
 
@@ -213,7 +211,7 @@ class IncrementalTracker:
                 if failure is not None:
                     obs.count("robust.quarantined_total", stage="pair")
             else:
-                task = (
+                pair, failure = _track_pair(
                     len(self._pairs),
                     self._frames[-1],
                     frame,
@@ -221,13 +219,8 @@ class IncrementalTracker:
                     points,
                     self.config,
                     self._cache,
+                    strict=self.strict,
                 )
-                outcome = (
-                    _combine_task(task)
-                    if self.strict
-                    else _combine_task_quarantine(task)
-                )
-                pair, failure = _settle_pair(outcome, self._frames[-1], frame)
             self._pairs.append(pair)
             if failure is not None:
                 self._failures.append(failure)

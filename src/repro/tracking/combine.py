@@ -6,13 +6,13 @@ consecutive frames (A, B) the combination proceeds:
 
 1. **Seed** with the displacement evaluator, run reciprocally (A onto B
    and B onto A) with outlier filtering.
-2. **Prune** candidate edges whose clusters share no call-stack
+2. **Prune** candidate links whose clusters share no call-stack
    reference — imprecisions of the distance heuristic.
 3. **Widen** with the SPMD evaluator: objects left unmatched get
    attached to a simultaneous sibling's relation (the paper's
    ``A5 == B5 u B13`` example).
-4. Connected components of the resulting bipartite graph are the
-   relations ``P_i == Q_i``.
+4. Connected components (:func:`repro._util.components`) of the
+   candidate links (:data:`Links`) are the relations ``P_i == Q_i``.
 5. **Refine** wide relations (several objects on both sides) with the
    execution-sequence evaluator, splitting them when pivot-anchored
    alignment can tell the members apart.
@@ -20,13 +20,14 @@ consecutive frames (A, B) the combination proceeds:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro import obs
+from repro._util import components
 from repro.clustering.frames import Frame
 from repro.tracking.correlation import CorrelationMatrix
 from repro.tracking.evaluators import callstack as _callstack
@@ -62,8 +63,15 @@ UNMATCHED = "unmatched"
 #: call-stack and sequence evaluators rescue orphans, the simultaneity
 #: evaluator only ever widens an existing relation.  A relation's
 #: *proposing* evaluator is the highest-priority evaluator among its
-#: supporting edges, so it is unique by construction.
+#: supporting links, so it is unique by construction.
 _PROPOSER_PRIORITY = (DISPLACEMENT, CALLSTACK, SEQUENCE, SIMULTANEITY)
+
+#: One object of a frame pair, ``("A", cid)`` or ``("B", cid)``.
+Node = tuple[str, int]
+#: Candidate links of a frame pair: both endpoints (sorted) -> the
+#: proposing evaluator.  Proposing a link again, from either end, keeps
+#: one link and re-tags it.
+Links = dict[tuple[Node, Node], str]
 
 
 @dataclass(frozen=True)
@@ -74,11 +82,11 @@ class RelationProvenance:
     ----------
     proposed_by:
         The single evaluator that established the relation (highest
-        priority among its edges), or :data:`UNMATCHED` for degenerate
+        priority among its links), or :data:`UNMATCHED` for degenerate
         relations with an empty side.
     edge_counts:
-        ``(evaluator, n_edges)`` pairs — how many candidate-graph edges
-        each evaluator contributed inside this relation.
+        ``(evaluator, n_links)`` pairs — how many candidate links each
+        evaluator contributed inside this relation (both ends in it).
     events:
         Audit trail of the non-seed actions that shaped the relation:
         ``"rescue:callstack"``, ``"rescue:sequence"``,
@@ -95,7 +103,7 @@ class RelationProvenance:
 
     @property
     def evaluators(self) -> tuple[str, ...]:
-        """Evaluators that contributed at least one edge."""
+        """Evaluators that contributed at least one link."""
         return tuple(name for name, _ in self.edge_counts)
 
     def support_of(self, evaluator: str) -> float:
@@ -125,8 +133,8 @@ class PairProvenance:
         One :class:`RelationProvenance` per relation, aligned with
         :attr:`PairRelations.relations`.
     proposed:
-        Candidate edges proposed by the displacement evaluator
-        (before call-stack pruning).
+        Candidate links proposed by the displacement evaluator, once
+        per direction (before call-stack pruning).
     pruned:
         Displacement candidates vetoed by the call-stack evaluator.
     rescued_callstack / rescued_sequence:
@@ -146,7 +154,7 @@ class PairProvenance:
     splits: int = 0
 
     def contribution_counts(self) -> dict[str, int]:
-        """Total candidate-graph edges per evaluator over the pair."""
+        """Total candidate links per evaluator over the pair."""
         totals: dict[str, int] = {}
         for record in self.relations:
             for name, n in record.edge_counts:
@@ -304,12 +312,28 @@ class PairRelations:
         return float(np.mean(supports)) if supports else 0.0
 
 
-def _component_relations(graph: nx.Graph) -> list[Relation]:
-    """Extract relations from the bipartite candidate graph."""
+def _link(links: Links, u: Node, v: Node, evaluator: str) -> None:
+    """Add the link ``u -- v`` (or re-tag it) on behalf of *evaluator*."""
+    links[min(u, v), max(u, v)] = evaluator
+
+
+def _linked(links: Links) -> set[Node]:
+    """Objects with at least one candidate link."""
+    return {node for link in links for node in link}
+
+
+def _component_relations(
+    nodes: list[Node], links: Iterable[tuple[Node, Node]]
+) -> list[Relation]:
+    """Relations from the connected components of *links* over *nodes*,
+    in the order of their first object in *nodes*."""
+    position = {node: i for i, node in enumerate(nodes)}
+    pairs = [(position[u], position[v]) for u, v in links]
     relations: list[Relation] = []
-    for component in nx.connected_components(graph):
-        left = frozenset(cid for side, cid in component if side == "A")
-        right = frozenset(cid for side, cid in component if side == "B")
+    for component in components(len(nodes), pairs):
+        members = [nodes[i] for i in component]
+        left = frozenset(cid for side, cid in members if side == "A")
+        right = frozenset(cid for side, cid in members if side == "B")
         relations.append(Relation(left=left, right=right))
     return relations
 
@@ -321,22 +345,23 @@ def _callstacks_compatible(frame_x: Frame, cid_x: int, frame_y: Frame, cid_y: in
     )
 
 
-def _callstack_rescue(graph: nx.Graph, frame_a: Frame, frame_b: Frame) -> int:
+def _callstack_rescue(links: Links, frame_a: Frame, frame_b: Frame) -> int:
     """Pair leftover objects whose call-stack reference is unambiguous.
 
     When displacements fail completely — the NAS BT case, where growing
     problem sizes move every cluster two orders of magnitude — an object
-    with no candidate edges can still be matched if exactly one object
+    with no candidate links can still be matched if exactly one object
     of the other frame shares its source references.  Returns the number
-    of edges added.
+    of links added.
     """
     added = 0
     for side, frame, other_frame, other_side in (
         ("A", frame_a, frame_b, "B"),
         ("B", frame_b, frame_a, "A"),
     ):
+        linked = _linked(links)  # links added below touch no later object
         for cid in frame.cluster_ids:
-            if graph.degree((side, cid)) > 0:
+            if (side, cid) in linked:
                 continue
             candidates = [
                 other
@@ -344,56 +369,46 @@ def _callstack_rescue(graph: nx.Graph, frame_a: Frame, frame_b: Frame) -> int:
                 if _callstacks_compatible(frame, cid, other_frame, other)
             ]
             if len(candidates) == 1:
-                graph.add_edge(
-                    (side, cid), (other_side, candidates[0]), evaluator=CALLSTACK
-                )
+                _link(links, (side, cid), (other_side, candidates[0]), CALLSTACK)
                 added += 1
     return added
 
 
 def _sequence_rescue(
-    graph: nx.Graph,
+    links: Links,
     sequence: CorrelationMatrix,
     frame_a: Frame,
     frame_b: Frame,
 ) -> int:
     """Match remaining orphans through the execution-sequence evidence.
 
-    For each still-unmatched object, adds an edge towards the strongest
+    For each still-unmatched object, adds a link towards the strongest
     call-stack-compatible sequence correspondence.  Returns the number
-    of edges added.
+    of links added.
     """
     added = 0
-    for cid_a in frame_a.cluster_ids:
-        if graph.degree(("A", cid_a)) > 0:
-            continue
-        row = {
-            cid_b: value
-            for cid_b, value in sequence.row(cid_a).items()
-            if _callstacks_compatible(frame_a, cid_a, frame_b, cid_b)
-        }
-        if row:
-            best = max(row, key=row.__getitem__)
-            graph.add_edge(("A", cid_a), ("B", best), evaluator=SEQUENCE)
-            added += 1
-    transposed = sequence.transpose()
-    for cid_b in frame_b.cluster_ids:
-        if graph.degree(("B", cid_b)) > 0:
-            continue
-        row = {
-            cid_a: value
-            for cid_a, value in transposed.row(cid_b).items()
-            if _callstacks_compatible(frame_a, cid_a, frame_b, cid_b)
-        }
-        if row:
-            best = max(row, key=row.__getitem__)
-            graph.add_edge(("A", best), ("B", cid_b), evaluator=SEQUENCE)
-            added += 1
+    for side, frame, matrix, other_frame, other_side in (
+        ("A", frame_a, sequence, frame_b, "B"),
+        ("B", frame_b, sequence.transpose(), frame_a, "A"),
+    ):
+        linked = _linked(links)
+        for cid in frame.cluster_ids:
+            if (side, cid) in linked:
+                continue
+            row = {
+                other: value
+                for other, value in matrix.row(cid).items()
+                if _callstacks_compatible(frame, cid, other_frame, other)
+            }
+            if row:
+                best = max(row, key=row.__getitem__)
+                _link(links, (side, cid), (other_side, best), SEQUENCE)
+                added += 1
     return added
 
 
 def _attach_orphans(
-    graph: nx.Graph,
+    links: Links,
     side: str,
     frame: Frame,
     simultaneity: CorrelationMatrix,
@@ -401,23 +416,24 @@ def _attach_orphans(
 ) -> int:
     """SPMD widening: connect unmatched objects to simultaneous siblings.
 
-    An orphan (no cross-frame edge) is attached to the sibling cluster
+    An orphan (no candidate link) is attached to the sibling cluster
     of its own frame with the strongest mutual simultaneity above
     *threshold*, provided the sibling is itself matched and both share a
     call-stack reference.  Returns the number of orphans attached.
     """
     attached = 0
     ids = frame.cluster_ids
+    linked = _linked(links)
     for cid in ids:
         node = (side, cid)
-        if graph.degree(node) > 0:
+        if node in linked:
             continue
         best_partner = None
         best_value = threshold
         for other in ids:
             if other == cid:
                 continue
-            if graph.degree((side, other)) == 0:
+            if (side, other) not in linked:
                 continue
             mutual = min(simultaneity.get(cid, other), simultaneity.get(other, cid))
             if mutual >= best_value and _callstacks_compatible(
@@ -426,7 +442,8 @@ def _attach_orphans(
                 best_partner = other
                 best_value = mutual
         if best_partner is not None:
-            graph.add_edge(node, (side, best_partner), evaluator=SIMULTANEITY)
+            _link(links, node, (side, best_partner), SIMULTANEITY)
+            linked.add(node)  # now a partner for the orphans after it
             attached += 1
     return attached
 
@@ -453,11 +470,9 @@ def _split_wide_relations(
         if not relation.is_wide:
             out.append(relation)
             continue
-        sub = nx.Graph()
-        for cid in relation.left:
-            sub.add_node(("A", cid))
-        for cid in relation.right:
-            sub.add_node(("B", cid))
+        nodes = [("A", cid) for cid in relation.left]
+        nodes += [("B", cid) for cid in relation.right]
+        sub = []
         for cid_a in relation.left:
             for cid_b in relation.right:
                 try:
@@ -467,8 +482,8 @@ def _split_wide_relations(
                 if evidence > 0 and _callstacks_compatible(
                     frame_a, cid_a, frame_b, cid_b
                 ):
-                    sub.add_edge(("A", cid_a), ("B", cid_b))
-        pieces = _component_relations(sub)
+                    sub.append((("A", cid_a), ("B", cid_b)))
+        pieces = _component_relations(nodes, sub)
         valid = (
             len(pieces) > 1
             and all(piece.left and piece.right for piece in pieces)
@@ -498,7 +513,7 @@ def _max_cell(matrix: CorrelationMatrix | None, pairs) -> float:
 
 def _relation_provenance(
     relation: Relation,
-    graph: nx.Graph,
+    links: Links,
     split_pieces: set[Relation],
     disp_ab: CorrelationMatrix,
     disp_ba: CorrelationMatrix,
@@ -516,9 +531,8 @@ def _relation_provenance(
         ("B", cid) for cid in relation.right
     }
     counts: dict[str, int] = {}
-    for u, v, data in graph.edges(nodes, data=True):
+    for (u, v), evaluator in links.items():
         if u in nodes and v in nodes:
-            evaluator = data.get("evaluator", DISPLACEMENT)
             counts[evaluator] = counts.get(evaluator, 0) + 1
     proposed_by = next(
         (name for name in _PROPOSER_PRIORITY if counts.get(name)), UNMATCHED
@@ -638,47 +652,37 @@ def combine_pair(
             return True
         return _callstacks_compatible(frame_a, cid_a, frame_b, cid_b)
 
-    graph = nx.Graph()
-    for cid in frame_a.cluster_ids:
-        graph.add_node(("A", cid))
-    for cid in frame_b.cluster_ids:
-        graph.add_node(("B", cid))
-    proposed = 0
+    # Relations, and so the pivots below, come in this order: A first.
+    nodes = [("A", cid) for cid in frame_a.cluster_ids]
+    nodes += [("B", cid) for cid in frame_b.cluster_ids]
+    candidates = [(cid_a, cid_b) for cid_a, cid_b, _ in disp_ab.nonzero_pairs()]
+    candidates += [(cid_a, cid_b) for cid_b, cid_a, _ in disp_ba.nonzero_pairs()]
+    links: Links = {}
     pruned = 0
-    for cid_a, cid_b, _ in disp_ab.nonzero_pairs():
-        proposed += 1
+    for cid_a, cid_b in candidates:
         if compatible(cid_a, cid_b):
-            graph.add_edge(("A", cid_a), ("B", cid_b), evaluator=DISPLACEMENT)
+            _link(links, ("A", cid_a), ("B", cid_b), DISPLACEMENT)
         else:
             pruned += 1
-    for cid_b, cid_a, _ in disp_ba.nonzero_pairs():
-        proposed += 1
-        if compatible(cid_a, cid_b):
-            graph.add_edge(("A", cid_a), ("B", cid_b), evaluator=DISPLACEMENT)
-        else:
-            pruned += 1
+    proposed = len(candidates)
     if obs.enabled():
         obs.count("tracking.links_proposed", proposed, evaluator=DISPLACEMENT)
         obs.count("tracking.links_pruned", pruned, evaluator=CALLSTACK)
-        obs.count(
-            "tracking.links_confirmed",
-            graph.number_of_edges(),
-            evaluator=DISPLACEMENT,
-        )
+        obs.count("tracking.links_confirmed", len(links), evaluator=DISPLACEMENT)
 
     rescued_callstack = 0
     rescued_sequence = 0
     widened = 0
     splits = 0
     if use_callstack:
-        rescued_callstack = _callstack_rescue(graph, frame_a, frame_b)
+        rescued_callstack = _callstack_rescue(links, frame_a, frame_b)
         obs.count("tracking.links_rescued", rescued_callstack, evaluator=CALLSTACK)
     if use_spmd:
-        widened = _attach_orphans(graph, "B", frame_b, spmd_b, spmd_threshold)
-        widened += _attach_orphans(graph, "A", frame_a, spmd_a, spmd_threshold)
+        widened = _attach_orphans(links, "B", frame_b, spmd_b, spmd_threshold)
+        widened += _attach_orphans(links, "A", frame_a, spmd_a, spmd_threshold)
         obs.count("tracking.links_widened", widened, evaluator=SIMULTANEITY)
 
-    relations = _component_relations(graph)
+    relations = _component_relations(nodes, links)
 
     # Sequence refinement needs pivots: take the univocal relations.
     pivots = {
@@ -704,13 +708,13 @@ def combine_pair(
             ).drop_below(sequence_threshold)
             if has_orphans:
                 rescued_sequence = _sequence_rescue(
-                    graph, sequence_ab, frame_a, frame_b
+                    links, sequence_ab, frame_a, frame_b
                 )
                 obs.count(
                     "tracking.links_rescued", rescued_sequence, evaluator=SEQUENCE
                 )
                 if rescued_sequence:
-                    relations = _component_relations(graph)
+                    relations = _component_relations(nodes, links)
             relations, split_pieces, splits = _split_wide_relations(
                 relations, sequence_ab, frame_a, frame_b
             )
@@ -719,7 +723,7 @@ def combine_pair(
     provenance = PairProvenance(
         relations=tuple(
             _relation_provenance(
-                relation, graph, split_pieces,
+                relation, links, split_pieces,
                 disp_ab, disp_ba,
                 cs_ab if use_callstack else None,
                 spmd_a if use_spmd else None,

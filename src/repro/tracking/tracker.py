@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import obs
+from repro._util import components
 from repro.clustering.frames import Frame
 from repro.errors import TrackingError
 from repro.obs.log import get_logger
@@ -38,31 +39,53 @@ __all__ = [
 log = get_logger(__name__)
 
 
-def _combine_task(
-    task: tuple[int, Frame, Frame, np.ndarray, np.ndarray, "TrackerConfig", "EvalCache | None"],
-) -> PairRelations:
-    """Combine one frame pair under a ``tracking.pair`` span.
+def _track_pair(
+    index: int,
+    frame_a: Frame,
+    frame_b: Frame,
+    points_a: np.ndarray,
+    points_b: np.ndarray,
+    config: "TrackerConfig",
+    cache: EvalCache,
+    *,
+    strict: bool,
+) -> "tuple[PairRelations, ItemFailure | None]":
+    """Combine one frame pair (pair *index*) under a ``tracking.pair`` span.
 
-    The last element is an optional
-    :class:`~repro.tracking.evalcache.EvalCache` shared with the
-    run's other pairs.
+    A strict run lets a failing pair's
+    :class:`~repro.errors.ReproError` propagate.  A non-strict run
+    quarantines the pair: the failure record is counted on
+    ``robust.quarantined_total``, logged, and returned next to
+    evidence-free relations between the two frames.
     """
-    index, frame_a, frame_b, points_a, points_b, config, cache = task
-    with obs.span("tracking.pair", pair=index):
-        return combine_pair(
-            frame_a,
-            frame_b,
-            points_a,
-            points_b,
-            outlier_threshold=config.outlier_threshold,
-            spmd_threshold=config.spmd_threshold,
-            sequence_threshold=config.sequence_threshold,
-            max_align_ranks=config.max_align_ranks,
-            use_callstack=config.use_callstack,
-            use_spmd=config.use_spmd,
-            use_sequence=config.use_sequence,
-            cache=cache,
+    from repro.errors import ReproError
+    from repro.robust.partial import ItemFailure
+
+    try:
+        with obs.span("tracking.pair", pair=index):
+            return combine_pair(
+                frame_a,
+                frame_b,
+                points_a,
+                points_b,
+                outlier_threshold=config.outlier_threshold,
+                spmd_threshold=config.spmd_threshold,
+                sequence_threshold=config.sequence_threshold,
+                max_align_ranks=config.max_align_ranks,
+                use_callstack=config.use_callstack,
+                use_spmd=config.use_spmd,
+                use_sequence=config.use_sequence,
+                cache=cache,
+            ), None
+    except ReproError as exc:
+        if strict:
+            raise
+        failure = ItemFailure.from_exception(
+            f"{frame_a.label} -> {frame_b.label} (pair {index})", "pair", exc
         )
+    obs.count("robust.quarantined_total", stage="pair")
+    log.warning("quarantined pair: %s", failure)
+    return _empty_pair_relations(frame_a, frame_b), failure
 
 
 def _empty_pair_relations(frame_a: Frame, frame_b: Frame) -> PairRelations:
@@ -93,40 +116,6 @@ def _empty_pair_relations(frame_a: Frame, frame_b: Frame) -> PairRelations:
         sequence_ab=None,
         provenance=PairProvenance(),
     )
-
-
-def _settle_pair(
-    outcome: "PairRelations | ItemFailure", frame_a: Frame, frame_b: Frame
-) -> "tuple[PairRelations, ItemFailure | None]":
-    """Split one pair task's outcome into relations and quarantine record.
-
-    A failure record is counted on ``robust.quarantined_total``, logged,
-    and stands in for evidence-free relations between the two frames.
-    """
-    from repro.robust.partial import ItemFailure
-
-    if not isinstance(outcome, ItemFailure):
-        return outcome, None
-    obs.count("robust.quarantined_total", stage="pair")
-    log.warning("quarantined pair: %s", outcome)
-    return _empty_pair_relations(frame_a, frame_b), outcome
-
-
-def _combine_task_quarantine(
-    task: tuple[int, Frame, Frame, np.ndarray, np.ndarray, "TrackerConfig", "EvalCache | None"],
-):
-    """Non-strict :func:`_combine_task`: returns a failure record, never
-    raises a :class:`~repro.errors.ReproError`."""
-    from repro.errors import ReproError
-    from repro.robust.partial import ItemFailure
-
-    index, frame_a, frame_b = task[0], task[1], task[2]
-    try:
-        return _combine_task(task)
-    except ReproError as exc:
-        return ItemFailure.from_exception(
-            f"{frame_a.label} -> {frame_b.label} (pair {index})", "pair", exc
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,23 +328,19 @@ class Tracker:
                     log_extensive=config.log_extensive,
                 )
             cache = EvalCache()
-            combine = _combine_task if strict else _combine_task_quarantine
             failures: list[ItemFailure] = []
             pair_relations: list[PairRelations] = []
             for index in range(len(self.frames) - 1):
-                frame_a, frame_b = self.frames[index], self.frames[index + 1]
-                outcome = combine(
-                    (
-                        index,
-                        frame_a,
-                        frame_b,
-                        space.points[index],
-                        space.points[index + 1],
-                        config,
-                        cache,
-                    )
+                pair, failure = _track_pair(
+                    index,
+                    self.frames[index],
+                    self.frames[index + 1],
+                    space.points[index],
+                    space.points[index + 1],
+                    config,
+                    cache,
+                    strict=strict,
                 )
-                pair, failure = _settle_pair(outcome, frame_a, frame_b)
                 pair_relations.append(pair)
                 if failure is not None:
                     failures.append(failure)
@@ -398,14 +383,15 @@ def chain_regions(
 ) -> list[TrackedRegion]:
     """Chain pairwise relations into duration-ranked whole-sequence regions.
 
-    A region is an equivalence class of ``(frame, cluster)`` nodes: a
-    union-find over the nodes joins every member of each relation.
-    Regions rank by decreasing total duration; equal durations rank by
-    their earliest node in ``(frame, cluster id)`` order, and each
-    region sums its durations in that node order.  The batch
-    :class:`Tracker` calls this once, the incremental
-    :class:`repro.stream.IncrementalTracker` after every push, so the
-    same frames and pair relations give the same regions either way.
+    A region is an equivalence class of ``(frame, cluster)`` nodes: the
+    connected components (:func:`repro._util.components`) of links
+    joining every member of each relation.  Regions rank by decreasing
+    total duration; equal durations rank by their earliest node in
+    ``(frame, cluster id)`` order, and each region sums its durations
+    in that node order.  The batch :class:`Tracker` calls this once,
+    the incremental :class:`repro.stream.IncrementalTracker` after
+    every push, so the same frames and pair relations give the same
+    regions either way.
     """
     nodes: list[tuple[int, int]] = []
     durations: list[float] = []
@@ -417,45 +403,31 @@ def chain_regions(
             nodes.append((frame_index, cid))
             durations.append(frame.cluster(cid).total_duration)
 
-    # Unions keep the smaller root, so every root is its class's
-    # earliest node.
-    parent = list(range(len(nodes)))
-
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
+    links: list[tuple[int, int]] = []
     for pair_index, pair in enumerate(pair_relations):
         left, right = index[pair_index], index[pair_index + 1]
         for relation in pair.relations:
             linked = [left[cid] for cid in relation.left]
             linked += [right[cid] for cid in relation.right]
-            for node in linked[1:]:
-                a, b = find(linked[0]), find(node)
-                parent[max(a, b)] = min(a, b)
+            links += [(linked[0], node) for node in linked[1:]]
 
-    classes: dict[int, list[int]] = {}
-    for node in range(len(nodes)):
-        classes.setdefault(find(node), []).append(node)
-    totals = {
-        root: sum(durations[node] for node in members)
-        for root, members in classes.items()
-    }
+    # Components come in earliest-node order, so a stable sort on
+    # duration alone breaks ties by the earliest node.
+    classes = components(len(nodes), links)
+    totals = [sum(durations[node] for node in members) for members in classes]
     regions = []
-    for region_id, root in enumerate(
-        sorted(classes, key=lambda root: (-totals[root], root)), start=1
+    for region_id, k in enumerate(
+        sorted(range(len(classes)), key=lambda k: -totals[k]), start=1
     ):
         members: list[set[int]] = [set() for _ in frames]
-        for node in classes[root]:
+        for node in classes[k]:
             frame_index, cid = nodes[node]
             members[frame_index].add(cid)
         regions.append(
             TrackedRegion(
                 region_id=region_id,
                 members=tuple(frozenset(m) for m in members),
-                total_duration=totals[root],
+                total_duration=totals[k],
             )
         )
     return regions

@@ -1,12 +1,23 @@
-"""Property tests for region chaining against a connected-components reference.
+"""Property tests for connected components against a networkx reference.
 
-:func:`~repro.tracking.tracker.chain_regions` is a union-find over
-``(frame, cluster)`` nodes.  The reference below states the same rule
-as a graph: a networkx graph with every cluster as a node and every
-relation as edges, whose connected components are the regions, ranked
-by decreasing duration with ties left in component order (the order of
-each component's earliest node).  Both must agree on region ids,
-members and order for any frames and relations.
+:func:`repro._util.components` is the one connected-components
+primitive: a union-find that orders each component's nodes ascending
+and the components by their smallest node, as
+``nx.connected_components`` does over nodes inserted in ascending order.
+
+:func:`~repro.tracking.tracker.chain_regions` takes its regions from
+it over ``(frame, cluster)`` nodes.  The reference below states the
+same rule as a graph: a networkx graph with every cluster as a node and
+every relation as edges, whose connected components are the regions,
+ranked by decreasing duration with ties left in component order (the
+order of each component's earliest node).  Both must agree on region
+ids, members and order for any frames and relations.
+
+:func:`~repro.tracking.combine.combine_pair` takes a frame pair's
+relations from it over a table of candidate links.  The reference
+builds the ``nx.Graph`` the combination used to build, and both must
+agree on the relations and their order, on which objects are linked,
+and on each relation's per-evaluator link counts.
 """
 
 from __future__ import annotations
@@ -18,7 +29,14 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tracking.combine import Relation
+from repro._util import components
+from repro.tracking.combine import (
+    Relation,
+    _component_relations,
+    _link,
+    _linked,
+    _relation_provenance,
+)
 from repro.tracking.tracker import chain_regions
 
 
@@ -142,3 +160,86 @@ def test_equal_durations_rank_by_earliest_node():
     ]
     assert _as_tuples(chain_regions(frames, pairs)) == expected
     assert _reference_chain(frames, pairs) == expected
+
+
+@st.composite
+def _graphs(draw):
+    """Nodes ``0 .. n - 1`` and links between them, with isolated nodes,
+    repeated links and self-links."""
+    n_nodes = draw(st.integers(min_value=0, max_value=12))
+    if not n_nodes:
+        return 0, []
+    node = st.integers(min_value=0, max_value=n_nodes - 1)
+    links = draw(st.lists(st.tuples(node, node), max_size=16))
+    if links:
+        links += draw(st.lists(st.sampled_from(links), max_size=4))
+    links += [(v, v) for v in draw(st.lists(node, max_size=3))]
+    return n_nodes, draw(st.permutations(links))
+
+
+@given(_graphs())
+@settings(max_examples=500, deadline=None)
+def test_components_match_networkx(case):
+    n_nodes, links = case
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n_nodes))
+    graph.add_edges_from(links)
+    expected = [sorted(component) for component in nx.connected_components(graph)]
+    assert components(n_nodes, links) == expected
+
+
+_EVALUATORS = ("displacement", "callstack", "sequence", "simultaneity")
+
+
+@st.composite
+def _pair_links(draw):
+    """Objects of frames A and B (cluster ids in any order) and tagged
+    candidate links between them: cross-frame and same-side links, some
+    proposed again from either end, some re-tagged."""
+    cluster_ids = st.lists(
+        st.integers(min_value=1, max_value=9), min_size=1, max_size=6, unique=True
+    )
+    nodes = [("A", cid) for cid in draw(cluster_ids)]
+    nodes += [("B", cid) for cid in draw(cluster_ids)]
+    node = st.sampled_from(nodes)
+    link = st.tuples(node, node).filter(lambda pair: pair[0] != pair[1])
+    links = draw(st.lists(link, max_size=14))
+    if links:
+        again = draw(st.lists(st.sampled_from(links), max_size=6))
+        links += [(v, u) if draw(st.booleans()) else (u, v) for u, v in again]
+    tagged = [(u, v, draw(st.sampled_from(_EVALUATORS))) for u, v in links]
+    return nodes, tagged
+
+
+@given(_pair_links())
+@settings(max_examples=500, deadline=None)
+def test_pair_components_match_networkx(case):
+    nodes, tagged = case
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    links = {}
+    for u, v, evaluator in tagged:
+        graph.add_edge(u, v, evaluator=evaluator)
+        _link(links, u, v, evaluator)
+
+    expected = [
+        Relation(
+            left=frozenset(cid for side, cid in component if side == "A"),
+            right=frozenset(cid for side, cid in component if side == "B"),
+        )
+        for component in nx.connected_components(graph)
+    ]
+    relations = _component_relations(nodes, links)
+    assert relations == expected
+    assert _linked(links) == {node for node in graph if graph.degree(node) > 0}
+    for relation in relations:
+        members = {("A", cid) for cid in relation.left}
+        members |= {("B", cid) for cid in relation.right}
+        counts: dict[str, int] = {}
+        for u, v, data in graph.edges(members, data=True):
+            if u in members and v in members:
+                counts[data["evaluator"]] = counts.get(data["evaluator"], 0) + 1
+        record = _relation_provenance(
+            relation, links, set(), None, None, None, None, None, None
+        )
+        assert record.edge_counts == tuple(sorted(counts.items()))

@@ -104,12 +104,12 @@ class TestPush:
 
 class TestQuarantine:
     def test_strict_push_raises_on_pair_failure(self, window_frames, monkeypatch):
-        import repro.stream.incremental as incremental
+        import repro.tracking.tracker as tracker_mod
 
-        def boom(task):
+        def boom(*args, **kwargs):
             raise TrackingError("synthetic pair failure")
 
-        monkeypatch.setattr(incremental, "_combine_task", boom)
+        monkeypatch.setattr(tracker_mod, "combine_pair", boom)
         tracker = IncrementalTracker(
             bounds=SpaceBounds.from_frames(window_frames), strict=True
         )
@@ -120,10 +120,10 @@ class TestQuarantine:
     def test_non_strict_push_quarantines_pair(self, window_frames, monkeypatch):
         import repro.tracking.tracker as tracker_mod
 
-        def boom(task):
+        def boom(*args, **kwargs):
             raise TrackingError("synthetic pair failure")
 
-        monkeypatch.setattr(tracker_mod, "_combine_task", boom)
+        monkeypatch.setattr(tracker_mod, "combine_pair", boom)
         tracker = IncrementalTracker(
             bounds=SpaceBounds.from_frames(window_frames), strict=False
         )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -29,6 +30,34 @@ class TestModuleExecution:
         )
         assert completed.returncode == 0
         assert "case studies" in completed.stdout
+
+
+class TestRuntimeDependencies:
+    def test_runtime_does_not_import_networkx(self):
+        """networkx is a test-only dependency (the reference of the
+        component properties): the CLI, the job server, and a batch and
+        a windowed tracking run never import it."""
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro.cli
+            import repro.serve
+            from repro import quick_track
+            from repro.apps import hydroc
+            from repro.stream import track_windows
+
+            first = hydroc.build(block_size=64, ranks=4, iterations=3).run(seed=0)
+            second = hydroc.build(block_size=128, ranks=4, iterations=3).run(seed=1)
+            quick_track([first, second])
+            track_windows(first, n_windows=3)
+            assert "networkx" not in sys.modules, "networkx was imported"
+            """
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 class TestErrorHierarchy:
