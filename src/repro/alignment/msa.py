@@ -68,29 +68,6 @@ class MultipleAlignment:
         return np.unique(col[col != GAP])
 
 
-def _merge_center(
-    center: np.ndarray, aligned_center: np.ndarray, rows: list[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Insert new gap columns implied by *aligned_center* into existing rows.
-
-    ``aligned_center`` is the centre as it came out of the latest
-    pairwise alignment; wherever it contains a gap, a gap column must be
-    inserted into the already-merged rows ("once a gap, always a gap").
-    Returns the updated centre (with all accumulated gaps) and rows.
-    """
-    gap_positions = np.flatnonzero(aligned_center == GAP)
-    if gap_positions.size == 0:
-        return center, rows
-    # Positions are indices in the *new* alignment; insert one by one in
-    # ascending order so earlier insertions shift later ones correctly.
-    new_center = center
-    new_rows = rows
-    for pos in gap_positions:
-        new_center = np.insert(new_center, pos, GAP)
-        new_rows = [np.insert(row, pos, GAP) for row in new_rows]
-    return new_center, new_rows
-
-
 def star_align(
     sequences: dict[int, np.ndarray],
     *,

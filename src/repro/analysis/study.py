@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro import obs
+from repro.api import _track_traces
 from repro.apps.base import AppModel
 from repro.apps.registry import build_app
-from repro.clustering.frames import FrameSettings, make_frames, make_frames_partial
+from repro.clustering.frames import FrameSettings
 from repro.errors import ReproError, StudyError
-from repro.obs.log import get_logger
 from repro.parallel.executor import pmap
-from repro.robust.partial import ItemFailure, PartialResult
-from repro.tracking.tracker import Tracker, TrackerConfig, TrackingResult
+from repro.robust.partial import ItemFailure, PartialResult, quarantine
+from repro.tracking.tracker import TrackerConfig, TrackingResult, tracking_config
 from repro.tracking.trends import TrendSeries, compute_trends
 from repro.trace.trace import Trace
 
@@ -28,23 +28,21 @@ if TYPE_CHECKING:
 
 __all__ = ["ParametricStudy", "StudyResult"]
 
-log = get_logger(__name__)
 
-
-def _simulate_task(task: tuple[str, dict[str, Any], int]) -> Trace:
-    """Worker-side task: simulate one scenario (module-level for pickling)."""
-    app, scenario, seed = task
-    return build_app(app, **scenario).run(seed=seed)
-
-
-def _simulate_task_quarantine(
-    task: tuple[str, dict[str, Any], int]
+def _simulate_task(
+    task: tuple[str, dict[str, Any], int, bool]
 ) -> Trace | ItemFailure:
-    """Non-strict variant: pipeline errors become quarantine records."""
-    app, scenario, seed = task
+    """Worker-side task: simulate one scenario (module-level for pickling).
+
+    A strict task lets a :class:`~repro.errors.ReproError` propagate; a
+    non-strict one returns it as an :class:`ItemFailure`.
+    """
+    app, scenario, seed, strict = task
     try:
-        return _simulate_task(task)
+        return build_app(app, **scenario).run(seed=seed)
     except ReproError as exc:
+        if strict:
+            raise
         return ItemFailure.from_exception(f"{app} {scenario!r}", "simulate", exc)
 
 
@@ -152,16 +150,14 @@ class ParametricStudy:
             pending.append(index)
         if pending:
             simulated = pmap(
-                _simulate_task if strict else _simulate_task_quarantine,
-                [tasks[index] for index in pending],
+                _simulate_task,
+                [(*tasks[index], strict) for index in pending],
                 jobs=jobs,
                 label="study.simulate.pmap",
             )
             for index, trace in zip(pending, simulated):
                 if isinstance(trace, ItemFailure):
-                    failures.append(trace)
-                    obs.count("robust.quarantined_total", stage="simulate")
-                    log.warning("quarantined scenario: %s", trace)
+                    failures.append(quarantine(trace))
                     continue
                 traces[index] = trace
                 if cache is not None:
@@ -202,7 +198,7 @@ class ParametricStudy:
             two frames survive still raises :class:`StudyError`.
         """
         from repro.obs import ledger as obsledger
-        from repro.robust.validate import validate_study, validate_trace
+        from repro.robust.validate import validate_study
 
         validate_study(self)
         with obsledger.run_record(
@@ -214,78 +210,34 @@ class ParametricStudy:
         ) as ledger_rec, obs.span(
             "study.run", app=self.app, n_scenarios=len(self.scenarios)
         ):
-            failures: list[ItemFailure] = []
             with obs.span("study.simulate"):
-                slots, sim_failures = self._simulate(
+                slots, failures = self._simulate(
                     seed=seed, jobs=jobs, cache=cache, strict=strict
                 )
-                failures.extend(sim_failures)
                 traces = [trace for trace in slots if trace is not None]
                 if self.trace_hook is not None:
                     traces = self.trace_hook(traces)
-            checked: list[Trace] = []
-            for trace in traces:
-                if strict:
-                    checked.append(validate_trace(trace, strict=True))
-                    continue
-                try:
-                    checked.append(validate_trace(trace, strict=False))
-                except ReproError as exc:
-                    failure = ItemFailure.from_exception(
-                        trace.label(), "validate", exc
-                    )
-                    failures.append(failure)
-                    obs.count("robust.quarantined_total", stage="validate")
-                    log.warning("quarantined trace: %s", failure)
-            traces = checked
-            self._require_two(len(traces), failures)
-            from dataclasses import replace
-
-            config = self.config
-            if self.settings.log_y and not config.log_extensive:
-                log.info(
-                    "settings.log_y=True overrides config.log_extensive=False "
-                    "for study %r: tracking will normalise extensive axes in "
-                    "log space", self.app,
-                )
-                config = replace(config, log_extensive=True)
-            if strict:
-                frames = make_frames(
-                    traces, self.settings, jobs=jobs, cache=cache
-                )
-                result = Tracker(frames, config).run()
-                if ledger_rec is not None:
-                    ledger_rec.annotate(
-                        coverage=round(result.coverage, 4),
-                        n_regions=len(result.regions),
-                    )
-                return StudyResult(
-                    study=self, traces=tuple(traces), result=result
-                )
-            frame_slots, frame_failures = make_frames_partial(
-                traces, self.settings, jobs=jobs, cache=cache
-            )
-            failures.extend(frame_failures)
-            survivors = [
-                (trace, frame)
-                for trace, frame in zip(traces, frame_slots)
-                if frame is not None
-            ]
-            self._require_two(len(survivors), failures)
-            traces = [trace for trace, _ in survivors]
-            frames = [frame for _, frame in survivors]
-            tracked = Tracker(frames, config).run(strict=False)
-            failures.extend(tracked.failures)
-            result = StudyResult(
-                study=self, traces=tuple(traces), result=tracked.value
+            traces, result, failures = _track_traces(
+                traces,
+                self.settings,
+                tracking_config(self.settings, self.config),
+                jobs=jobs,
+                cache=cache,
+                strict=strict,
+                require_two=self._require_two,
+                failures=failures,
             )
             if ledger_rec is not None:
                 ledger_rec.annotate(
-                    coverage=round(tracked.value.coverage, 4),
-                    n_regions=len(tracked.value.regions),
-                    quarantined={"items": len(failures)},
+                    coverage=round(result.coverage, 4),
+                    n_regions=len(result.regions),
                 )
-            return PartialResult(value=result, failures=tuple(failures))
+                if not strict:
+                    ledger_rec.annotate(quarantined={"items": len(failures)})
+            outcome = StudyResult(study=self, traces=tuple(traces), result=result)
+            if strict:
+                return outcome
+            return PartialResult(value=outcome, failures=tuple(failures))
 
     @staticmethod
     def _require_two(n_alive: int, failures: list[ItemFailure]) -> None:

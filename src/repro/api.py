@@ -7,23 +7,29 @@ stages directly (:mod:`repro.clustering`, :mod:`repro.tracking`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro import obs
 from repro.clustering.frames import (
     Frame,
     FrameSettings,
+    _make_frames_impl,
     make_frame,
     make_frames,
-    make_frames_partial,
 )
-from repro.obs.log import get_logger
-from repro.tracking.tracker import Tracker, TrackerConfig, TrackingResult
+from repro.errors import ReproError, TrackingError
+from repro.robust.partial import ItemFailure, PartialResult, quarantine
+from repro.robust.validate import validate_trace
+from repro.tracking.tracker import (
+    Tracker,
+    TrackerConfig,
+    TrackingResult,
+    tracking_config,
+)
 from repro.trace.trace import Trace
 
 if TYPE_CHECKING:
     from repro.parallel.cache import PipelineCache
-    from repro.robust.partial import PartialResult
 
 __all__ = [
     "cluster_trace",
@@ -31,8 +37,6 @@ __all__ = [
     "track_frames",
     "quick_track",
 ]
-
-log = get_logger(__name__)
 
 
 def cluster_trace(trace: Trace, settings: FrameSettings | None = None) -> Frame:
@@ -99,28 +103,14 @@ def quick_track(
     >>> result.coverage > 0
     True
     """
-    from dataclasses import replace
-
-    from repro.errors import ReproError, TrackingError
-    from repro.robust.partial import ItemFailure, PartialResult
-    from repro.robust.validate import validate_trace
-
     settings = settings or FrameSettings()
-    config = config or TrackerConfig()
+    config = tracking_config(settings, config)
     if windows is not None or window_ns is not None:
         from repro.stream.pipeline import windowed_traces
 
         traces = windowed_traces(
             traces, n_windows=windows, window_ns=window_ns
         )
-    if settings.log_y and not config.log_extensive:
-        # Keep the tracking space consistent with the clustering space.
-        log.info(
-            "settings.log_y=True overrides config.log_extensive=False: "
-            "extensive axes will be normalised in log space to match the "
-            "clustering space"
-        )
-        config = replace(config, log_extensive=True)
     from repro.obs import ledger as obsledger
 
     with obsledger.run_record(
@@ -130,47 +120,79 @@ def quick_track(
         strict=strict,
         cache_root=str(cache.root) if cache is not None else None,
     ) as ledger_rec, obs.span("api.quick_track", n_traces=len(traces)):
-        if strict:
-            checked = [validate_trace(trace, strict=True) for trace in traces]
-            frames = make_frames(checked, settings, jobs=jobs, cache=cache)
-            result = Tracker(frames, config).run()
-            if ledger_rec is not None:
-                ledger_rec.annotate(
-                    coverage=round(result.coverage, 4),
-                    n_regions=len(result.regions),
-                )
-            return result
-        failures: list[ItemFailure] = []
-        checked = []
-        for trace in traces:
-            try:
-                checked.append(validate_trace(trace, strict=False))
-            except ReproError as exc:
-                failure = ItemFailure.from_exception(
-                    trace.label(), "validate", exc
-                )
-                failures.append(failure)
-                obs.count("robust.quarantined_total", stage="validate")
-                log.warning("quarantined trace: %s", failure)
-        frame_slots, frame_failures = make_frames_partial(
-            checked, settings, jobs=jobs, cache=cache
+        _, result, failures = _track_traces(
+            traces, settings, config, jobs=jobs, cache=cache, strict=strict,
+            require_two=_require_two_frames,
         )
-        failures.extend(frame_failures)
-        frames = [frame for frame in frame_slots if frame is not None]
-        if len(frames) < 2:
-            detail = (
-                "; ".join(str(f) for f in failures) if failures else "none"
-            )
-            raise TrackingError(
-                f"fewer than two frames survived quarantine "
-                f"({len(frames)} alive); failures: {detail}"
-            )
-        tracked = Tracker(frames, config).run(strict=False)
-        failures.extend(tracked.failures)
         if ledger_rec is not None:
             ledger_rec.annotate(
-                coverage=round(tracked.value.coverage, 4),
-                n_regions=len(tracked.value.regions),
-                quarantined={"items": len(failures)},
+                coverage=round(result.coverage, 4),
+                n_regions=len(result.regions),
             )
-        return PartialResult(value=tracked.value, failures=tuple(failures))
+            if not strict:
+                ledger_rec.annotate(quarantined={"items": len(failures)})
+        if strict:
+            return result
+        return PartialResult(value=result, failures=tuple(failures))
+
+
+def _track_traces(
+    traces: list[Trace],
+    settings: FrameSettings,
+    config: TrackerConfig,
+    *,
+    jobs: int | None,
+    cache: "PipelineCache | None",
+    strict: bool,
+    require_two: Callable[[int, list[ItemFailure]], None],
+    failures: Iterable[ItemFailure] = (),
+) -> tuple[list[Trace], TrackingResult, list[ItemFailure]]:
+    """Validate, build frames and track: the batch core of every run.
+
+    Strict and non-strict runs execute the same statements: where a
+    strict run raises a failing item's :class:`~repro.errors.ReproError`,
+    a non-strict run quarantines the item and goes on with the rest.
+    *require_two* raises the caller's error when fewer than two traces
+    survive validation or fewer than two frames survive clustering.
+    *failures* are items an earlier stage quarantined.
+
+    Returns the surviving traces, the tracking result over their frames
+    and every quarantined item, in pipeline order.
+    """
+    failures = list(failures)
+    checked: list[Trace] = []
+    for trace in traces:
+        try:
+            checked.append(validate_trace(trace, strict=strict))
+        except ReproError as exc:
+            if strict:
+                raise
+            failures.append(quarantine(
+                ItemFailure.from_exception(trace.label(), "validate", exc)
+            ))
+    require_two(len(checked), failures)
+    slots, frame_failures = _make_frames_impl(
+        checked, settings, jobs=jobs, cache=cache, strict=strict
+    )
+    failures.extend(frame_failures)
+    survivors = [
+        (trace, frame) for trace, frame in zip(checked, slots) if frame is not None
+    ]
+    require_two(len(survivors), failures)
+    tracked = PartialResult.of(
+        Tracker([frame for _, frame in survivors], config).run(strict=strict)
+    )
+    failures.extend(tracked.failures)
+    return [trace for trace, _ in survivors], tracked.value, failures
+
+
+def _require_two_frames(n_alive: int, failures: list[ItemFailure]) -> None:
+    """Tracking needs two frames; fewer is a total failure even non-strict."""
+    if n_alive >= 2:
+        return
+    if not failures:
+        raise TrackingError("tracking needs at least two frames")
+    raise TrackingError(
+        f"fewer than two frames survived quarantine ({n_alive} alive); "
+        f"failures: {'; '.join(str(f) for f in failures)}"
+    )

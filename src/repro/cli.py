@@ -98,6 +98,29 @@ def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_frame_flags(parser: argparse.ArgumentParser) -> None:
+    """Frame-construction settings, read back by :func:`_frame_settings`."""
+    parser.add_argument("--x-metric", default="ipc")
+    parser.add_argument("--y-metric", default="instructions")
+    parser.add_argument("--eps", type=float, default=0.03)
+    parser.add_argument("--min-pts", type=int, default=None)
+    parser.add_argument("--relevance", type=float, default=0.95)
+    parser.add_argument("--log-y", action="store_true")
+
+
+def _frame_settings(args: argparse.Namespace):
+    from repro.clustering.frames import FrameSettings
+
+    return FrameSettings(
+        x_metric=args.x_metric,
+        y_metric=args.y_metric,
+        eps=args.eps,
+        min_pts=args.min_pts,
+        relevance=args.relevance,
+        log_y=args.log_y,
+    )
+
+
 def _add_strict_flag(parser: argparse.ArgumentParser) -> None:
     """``--strict/--no-strict``: fail fast vs quarantine-and-continue."""
     parser.add_argument(
@@ -204,23 +227,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(
+        name: str, handler, *, record: bool = True, **kwargs
+    ) -> argparse.ArgumentParser:
+        """Declare subcommand *name*, which :func:`main` runs with *handler*.
 
-    sim = add_parser("simulate", help="generate a synthetic application trace")
+        Commands that only inspect state, or that ask a job server to do
+        the work, pass ``record=False`` and stay out of the run ledger:
+        recording them would fill it with noise, ``obs`` would observe
+        itself reading it, and a served job is recorded server-side in
+        its tenant's ledger.
+        """
+        parser = sub.add_parser(name, parents=[common], **kwargs)
+        parser.set_defaults(handler=handler, record=record)
+        return parser
+
+    sim = add_parser(
+        "simulate", _cmd_simulate, help="generate a synthetic application trace"
+    )
     sim.add_argument("app", help="registered application name (see `info`)")
     sim.add_argument("scenario", nargs="*", help="scenario parameters key=value")
     sim.add_argument("-o", "--output", required=True, help="trace file (.json/.csv[.gz])")
     sim.add_argument("--seed", type=int, default=0)
 
-    track = add_parser("track", help="track objects across saved traces")
+    track = add_parser(
+        "track", _cmd_track, help="track objects across saved traces"
+    )
     track.add_argument("traces", nargs="+", help="trace files, in sequence order")
-    track.add_argument("--x-metric", default="ipc")
-    track.add_argument("--y-metric", default="instructions")
-    track.add_argument("--eps", type=float, default=0.03)
-    track.add_argument("--min-pts", type=int, default=None)
-    track.add_argument("--relevance", type=float, default=0.95)
-    track.add_argument("--log-y", action="store_true")
+    _add_frame_flags(track)
     track.add_argument("--trend-metric", action="append", default=None,
                        help="metric(s) to report trends for (default: ipc)")
     track.add_argument("--render", metavar="DIR", default=None,
@@ -232,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     watch = add_parser(
         "watch",
+        _cmd_watch,
         help="stream one trace through time windows, tracking incrementally",
     )
     watch.add_argument("trace", help="trace file to window and stream")
@@ -245,12 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed window duration in nanoseconds (last window may be "
         "shorter)",
     )
-    watch.add_argument("--x-metric", default="ipc")
-    watch.add_argument("--y-metric", default="instructions")
-    watch.add_argument("--eps", type=float, default=0.03)
-    watch.add_argument("--min-pts", type=int, default=None)
-    watch.add_argument("--relevance", type=float, default=0.95)
-    watch.add_argument("--log-y", action="store_true")
+    _add_frame_flags(watch)
     watch.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="pipeline cache enabling per-window frame reuse and "
@@ -303,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strict_flag(watch)
     _add_report_flag(watch)
 
-    study = add_parser("study", help="run a canned paper case study")
+    study = add_parser("study", _cmd_study, help="run a canned paper case study")
     study.add_argument("name", help="case study name (see `info`)")
     study.add_argument("--seed", type=int, default=0)
     study.add_argument("--render", metavar="DIR", default=None)
@@ -312,14 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strict_flag(study)
     _add_report_flag(study)
 
-    table2 = add_parser("table2", help="run all case studies; print Table 2")
+    table2 = add_parser(
+        "table2", _cmd_table2, help="run all case studies; print Table 2"
+    )
     _add_profile_flag(table2)
     _add_perf_flags(table2)
     _add_strict_flag(table2)
     _add_report_flag(table2)
 
     cache = add_parser(
-        "cache", help="inspect or clear the on-disk pipeline cache"
+        "cache", _cmd_cache, record=False,
+        help="inspect or clear the on-disk pipeline cache",
     )
     cache.add_argument("action", choices=("info", "clear"),
                        help="'info' prints entry counts and sizes; "
@@ -328,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cache directory (default: REPRO_CACHE)")
 
     report = add_parser(
-        "report", help="who-is-who report with evaluator evidence"
+        "report", _cmd_report, help="who-is-who report with evaluator evidence"
     )
     report.add_argument("traces", nargs="+", help="trace files, in sequence order")
     report.add_argument("--no-evidence", action="store_true",
@@ -340,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strict_flag(report)
 
     animate = add_parser(
-        "animate", help="write an animated HTML view of the tracked frames"
+        "animate", _cmd_animate,
+        help="write an animated HTML view of the tracked frames",
     )
     animate.add_argument("traces", nargs="+", help="trace files, in sequence order")
     animate.add_argument("-o", "--output", required=True, help="output .html file")
@@ -350,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = add_parser(
         "bench-compare",
+        _cmd_bench_compare,
+        record=False,
         help="compare two BENCH_RESULTS.json files for perf regressions",
     )
     bench.add_argument("old", help="baseline BENCH_RESULTS.json")
@@ -377,15 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     obs_cmd = add_parser(
-        "obs",
-        help="query the run ledger or serve the live telemetry endpoints",
+        "obs", _cmd_obs, record=False, help="query the run ledger"
     )
     obs_cmd.add_argument(
-        "action", choices=("runs", "tail", "summary", "export", "serve"),
+        "action", choices=("runs", "tail", "summary", "export"),
         help="'runs' lists recorded runs; 'tail' prints the newest ledger "
         "events; 'summary' drills into one run; 'export' writes a "
-        "bench-compare-able repro.bench/1 payload of per-entry wall/RSS; "
-        "'serve' exposes /metrics and /healthz standalone",
+        "bench-compare-able repro.bench/1 payload of per-entry wall/RSS",
     )
     obs_cmd.add_argument(
         "target", nargs="?", default=None, metavar="RUN_ID",
@@ -400,13 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=None, metavar="PATH",
         help="output file for 'export' (default: stdout)",
     )
-    obs_cmd.add_argument(
-        "--port", type=int, default=9464, metavar="PORT",
-        help="port for 'serve' (default: 9464; 0 picks a free port)",
-    )
 
     tune = add_parser(
-        "tune", help="suggest a DBSCAN eps for a trace (plateau search)"
+        "tune", _cmd_tune,
+        help="suggest a DBSCAN eps for a trace (plateau search)",
     )
     tune.add_argument("trace", help="trace file to tune against")
     tune.add_argument("--x-metric", default="ipc")
@@ -415,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = add_parser(
         "serve",
+        _cmd_serve,
         help="run the multi-tenant tracking job server "
         "(POST /jobs + /metrics + /healthz)",
     )
@@ -454,7 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
         "failed (default: 300)",
     )
 
-    submit = add_parser("submit", help="submit a job to a running job server")
+    submit = add_parser(
+        "submit", _cmd_submit, record=False,
+        help="submit a job to a running job server",
+    )
     submit.add_argument(
         "spec", help="job spec JSON file ('-' reads stdin); see "
         "docs/service.md for the schema",
@@ -474,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     status = add_parser(
-        "status", help="query job status (or a tenant's jobs) on a server"
+        "status", _cmd_status, record=False,
+        help="query job status (or a tenant's jobs) on a server",
     )
     status.add_argument(
         "job_id", nargs="?", default=None,
@@ -487,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     result = add_parser(
-        "result", help="fetch a done job's result payload or HTML report"
+        "result", _cmd_result, record=False,
+        help="fetch a done job's result payload or HTML report",
     )
     result.add_argument("job_id", help="job id")
     _add_client_url_flag(result)
@@ -501,7 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
         "canonical result.json",
     )
 
-    add_parser("info", help="list applications, machines and case studies")
+    add_parser(
+        "info", _cmd_info, record=False,
+        help="list applications, machines and case studies",
+    )
     return parser
 
 
@@ -557,35 +597,55 @@ def _render(result, out_dir: str) -> None:
 def _load_traces(paths: list[str], *, strict: bool):
     """Load every trace; under non-strict, quarantine unloadable files."""
     from repro.errors import ReproError
-    from repro.robust.partial import ItemFailure
+    from repro.robust.partial import ItemFailure, quarantine
     from repro.trace.io import load_trace
 
     failures = []
     traces = []
     for path in paths:
-        if strict:
-            traces.append(load_trace(path))
-            continue
         try:
-            traces.append(load_trace(path, strict=False))
+            traces.append(load_trace(path, strict=strict))
         except ReproError as exc:
-            failure = ItemFailure.from_exception(path, "load", exc)
-            failures.append(failure)
-            print(f"warning: quarantined {failure}", file=sys.stderr)
+            if strict:
+                raise
+            failures.append(
+                quarantine(ItemFailure.from_exception(path, "load", exc))
+            )
     return traces, failures
 
 
-def _report_partial(partial, extra_failures=()):
-    """Print the quarantine summary; return (exit code, all failures)."""
+def _report_partial(outcome, extra_failures=()):
+    """Print a run's quarantine block; return ``(value, failures, exit code)``.
+
+    *outcome* is a strict run's plain result or a non-strict run's
+    :class:`~repro.robust.partial.PartialResult`; *extra_failures* were
+    quarantined before the run (unloadable trace files).
+    """
     from repro.robust.partial import PartialResult
 
+    partial = PartialResult.of(outcome)
     combined = PartialResult(
         value=partial.value,
         failures=tuple(extra_failures) + partial.failures,
     )
     if not combined.ok:
         print(combined.summary(), file=sys.stderr)
-    return combined.exit_code, combined.failures
+    return combined.value, combined.failures, combined.exit_code
+
+
+def _track_files(args: argparse.Namespace, settings, *, jobs=None, cache=None):
+    """Load ``args.traces`` and track them (``track``, ``report``, ``animate``).
+
+    Prints the quarantine block; returns ``(result, failures, exit code)``.
+    """
+    from repro.api import quick_track
+
+    strict = getattr(args, "strict", True)
+    traces, load_failures = _load_traces(args.traces, strict=strict)
+    outcome = quick_track(
+        traces, settings=settings, jobs=jobs, cache=cache, strict=strict
+    )
+    return _report_partial(outcome, load_failures)
 
 
 def _write_report(
@@ -603,30 +663,9 @@ def _write_report(
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
-    from repro.api import quick_track
-    from repro.clustering.frames import FrameSettings
-
-    traces, load_failures = _load_traces(args.traces, strict=args.strict)
-    settings = FrameSettings(
-        x_metric=args.x_metric,
-        y_metric=args.y_metric,
-        eps=args.eps,
-        min_pts=args.min_pts,
-        relevance=args.relevance,
-        log_y=args.log_y,
+    result, failures, code = _track_files(
+        args, _frame_settings(args), jobs=args.jobs, cache=_resolve_cache(args)
     )
-    result = quick_track(
-        traces,
-        settings=settings,
-        jobs=args.jobs,
-        cache=_resolve_cache(args),
-        strict=args.strict,
-    )
-    code = 0
-    failures = ()
-    if not args.strict:
-        code, failures = _report_partial(result, load_failures)
-        result = result.value
     _print_result(result, args.trend_metric or ["ipc"])
     if args.render:
         _render(result, args.render)
@@ -635,21 +674,13 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    from repro.clustering.frames import FrameSettings
     from repro.obs import runtime as obsruntime
     from repro.obs.alerts import EXIT_ALERTS, AlertConfig, format_alert
     from repro.stream import WINDOW_KEY, WatchTelemetry, track_windows
     from repro.trace.io import load_trace
 
     trace = load_trace(args.trace, strict=args.strict)
-    settings = FrameSettings(
-        x_metric=args.x_metric,
-        y_metric=args.y_metric,
-        eps=args.eps,
-        min_pts=args.min_pts,
-        relevance=args.relevance,
-        log_y=args.log_y,
-    )
+    settings = _frame_settings(args)
     alert_config = None
     if args.alerts or args.alerts_jsonl:
         alert_config = AlertConfig(threshold=args.alert_threshold)
@@ -693,7 +724,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             print(format_alert(alert), file=sys.stderr)
 
     try:
-        result = track_windows(
+        result, failures, code = _report_partial(track_windows(
             trace,
             n_windows=args.windows,
             window_ns=args.window_ns,
@@ -704,12 +735,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             telemetry=telemetry,
             jobs=args.jobs,
             max_live_windows=args.max_live_windows,
-        )
-        code = 0
-        failures = ()
-        if not args.strict:
-            code, failures = _report_partial(result)
-            result = result.value
+        ))
         _annotate_watch_quality(result, failures, telemetry)
         print()
         _print_result(result, ["ipc"])
@@ -776,17 +802,12 @@ def _cmd_study(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import get_case_study
 
     case = get_case_study(args.name)
-    study_result = case.run(
+    study_result, failures, code = _report_partial(case.run(
         seed=args.seed,
         jobs=args.jobs,
         cache=_resolve_cache(args),
         strict=args.strict,
-    )
-    code = 0
-    failures = ()
-    if not args.strict:
-        code, failures = _report_partial(study_result)
-        study_result = study_result.value
+    ))
     print(f"case study: {case.name} "
           f"(expected: {case.expected_regions} regions, "
           f"{case.expected_coverage}% coverage)")
@@ -797,51 +818,28 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return code
 
 
-def _load_and_track(trace_paths: list[str], relevance: float, *, strict: bool = True):
-    """Load + track; returns ``(result, failures)``.
-
-    Under ``strict`` the failure tuple is always empty (errors raise);
-    under ``--no-strict`` unloadable traces and failing pipeline items
-    are quarantined and reported in the tuple.
-    """
-    from repro.api import quick_track
-    from repro.clustering.frames import FrameSettings
-
-    traces, load_failures = _load_traces(trace_paths, strict=strict)
-    result = quick_track(
-        traces, settings=FrameSettings(relevance=relevance), strict=strict
-    )
-    if strict:
-        return result, ()
-    return result.value, tuple(load_failures) + result.failures
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.robust.partial import EXIT_PARTIAL
+    from repro.clustering.frames import FrameSettings
     from repro.tracking.report import who_is_who
 
-    result, failures = _load_and_track(
-        args.traces, args.relevance, strict=args.strict
+    result, failures, code = _track_files(
+        args, FrameSettings(relevance=args.relevance)
     )
     print(who_is_who(result, evidence=not args.no_evidence))
-    if failures:
-        print(f"quarantine: {len(failures)} item(s) failed and were "
-              "skipped:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
     if args.html:
         from repro.obs.report import write_report
 
         path = write_report(args.html, [("who-is-who", result, failures)])
         print(f"wrote run report to {path}", file=sys.stderr)
-    return EXIT_PARTIAL if failures else 0
+    return code
 
 
 def _cmd_animate(args: argparse.Namespace) -> int:
+    from repro.clustering.frames import FrameSettings
     from repro.tracking.relabel import relabel_frames
     from repro.viz.animate import render_animation_html
 
-    result, _ = _load_and_track(args.traces, args.relevance)
+    result, _, _ = _track_files(args, FrameSettings(relevance=args.relevance))
     relabeled = relabel_frames(result)
     path = render_animation_html(
         relabeled, args.output, interval_ms=args.interval
@@ -853,6 +851,7 @@ def _cmd_animate(args: argparse.Namespace) -> int:
 def _cmd_table2(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import CASE_STUDIES
     from repro.analysis.report import format_table2
+    from repro.robust.partial import PartialResult
 
     cache = _resolve_cache(args)
     results = {}
@@ -860,27 +859,18 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     runs = []
     for case in CASE_STUDIES:
         print(f"running {case.name}...", file=sys.stderr)
-        outcome = case.run(jobs=args.jobs, cache=cache, strict=args.strict)
-        case_failures = ()
-        if not args.strict:
-            case_failures = outcome.failures
-            failures.extend(case_failures)
-            outcome = outcome.value
-        results[case.name] = outcome
-        runs.append((case.name, outcome.result, tuple(case_failures)))
+        outcome = PartialResult.of(
+            case.run(jobs=args.jobs, cache=cache, strict=args.strict)
+        )
+        results[case.name] = outcome.value
+        failures.extend(outcome.failures)
+        runs.append((case.name, outcome.value.result, outcome.failures))
     print(format_table2(results))
     # Per-case SVG grids would make the ten-study report enormous;
     # table2 reports carry the attribution/quality tables only.
     _write_report(args, runs, include_viz=False)
-    if failures:
-        from repro.robust.partial import EXIT_PARTIAL
-
-        print(f"quarantine: {len(failures)} item(s) failed and were "
-              "skipped:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return EXIT_PARTIAL
-    return 0
+    _, _, code = _report_partial(results, failures)
+    return code
 
 
 def _format_bytes(n: int) -> str:
@@ -1020,37 +1010,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     from repro.analysis.report import format_table
     from repro.obs import ledger as obsledger
-
-    if args.action == "serve":
-        import time as _time
-
-        from repro.obs import runtime as obsruntime
-        from repro.obs.serve import start_metrics_server
-
-        try:
-            server = start_metrics_server(
-                args.port, sampler=obsruntime.active_sampler()
-            )
-        except OSError as error:
-            print(
-                f"error: cannot serve telemetry on port {args.port}: "
-                f"{error.strerror or error}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"serving /metrics and /healthz on {server.url} "
-            "(ctrl-c to stop)",
-            file=sys.stderr,
-        )
-        try:
-            while True:
-                _time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.close()
-        return 0
 
     ledger = obsledger.resolve_ledger(getattr(args, "ledger_dir", None))
     if ledger is None:
@@ -1315,36 +1274,6 @@ def _cmd_result(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "track": _cmd_track,
-    "watch": _cmd_watch,
-    "study": _cmd_study,
-    "table2": _cmd_table2,
-    "report": _cmd_report,
-    "animate": _cmd_animate,
-    "tune": _cmd_tune,
-    "bench-compare": _cmd_bench_compare,
-    "cache": _cmd_cache,
-    "info": _cmd_info,
-    "obs": _cmd_obs,
-    "serve": _cmd_serve,
-    "submit": _cmd_submit,
-    "status": _cmd_status,
-    "result": _cmd_result,
-}
-
-
-#: Read-only commands that inspect state rather than run the pipeline;
-#: recording them would fill the ledger with noise (and ``obs`` reading
-#: the ledger while recording into it would observe itself).  The serve
-#: *client* commands are remote reads/submissions — the pipeline work
-#: they trigger is recorded server-side in per-tenant ledgers.
-_LEDGER_EXEMPT = {
-    "obs", "cache", "info", "bench-compare", "submit", "status", "result",
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point.
 
@@ -1382,7 +1311,7 @@ def main(argv: list[str] | None = None) -> int:
         obsruntime.set_active_sampler(sampler)
         sampler.start()
     ledger_rec = None
-    if args.command not in _LEDGER_EXEMPT:
+    if args.record:
         ledger_rec = obsledger.begin_run(
             f"cli.{args.command}",
             ledger_dir=getattr(args, "ledger_dir", None),
@@ -1391,7 +1320,7 @@ def main(argv: list[str] | None = None) -> int:
     code: int | None = None
     error_name: str | None = None
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.handler(args)
         if profile is not None or (obs.enabled() and obs.finished_spans()):
             obs.summary()
             if profile:  # a PATH was given, not the bare flag

@@ -472,31 +472,28 @@ def frame_from_labels(
         return validate_frame(_assemble_frame(trace, settings, points, labels))
 
 
-def _frame_task(task: tuple[int, Trace, FrameSettings]) -> Frame:
+def _frame_task(
+    task: tuple[int, Trace, FrameSettings, bool]
+) -> "Frame | ItemFailure":
     """Worker-side task: build one frame (module-level for pickling).
 
-    The ``clustering.frame`` span is recorded in-process on the serial
-    backend; worker-process spans are not collected by the parent.
-    """
-    index, trace, settings = task
-    with obs.span("clustering.frame", frame=index):
-        return make_frame(trace, settings)
-
-
-def _frame_task_quarantine(task: tuple[int, Trace, FrameSettings]):
-    """Worker-side task for non-strict runs: never raises a ReproError.
-
-    Returns the built :class:`Frame`, or an
-    :class:`~repro.robust.partial.ItemFailure` when the trace cannot be
-    clustered (so one bad trace does not abort the whole batch).
+    A strict task lets a :class:`~repro.errors.ReproError` propagate; a
+    non-strict one returns it as an
+    :class:`~repro.robust.partial.ItemFailure`, so one bad trace does
+    not abort the whole batch.  The ``clustering.frame`` span is
+    recorded in-process on the serial backend; worker-process spans are
+    not collected by the parent.
     """
     from repro.errors import ReproError
     from repro.robust.partial import ItemFailure
 
-    index, trace, settings = task
+    index, trace, settings, strict = task
     try:
-        return _frame_task(task)
+        with obs.span("clustering.frame", frame=index):
+            return make_frame(trace, settings)
     except ReproError as exc:
+        if strict:
+            raise
         return ItemFailure.from_exception(trace.label(), "frame", exc)
 
 
@@ -542,10 +539,8 @@ def make_frames_partial(
     Like :func:`make_frames`, but a trace whose frame construction fails
     with a :class:`~repro.errors.ReproError` yields ``None`` in the
     output list (positions match the input) plus an
-    :class:`~repro.robust.partial.ItemFailure` record; the
-    ``robust.quarantined_total`` obs counter tracks the drops.  This is
-    the non-strict path of :func:`repro.api.quick_track` and
-    :meth:`repro.analysis.study.ParametricStudy.run`.
+    :class:`~repro.robust.partial.ItemFailure` record, counted and
+    logged by :func:`repro.robust.partial.quarantine`.
     """
     return _make_frames_impl(traces, settings, jobs=jobs, cache=cache, strict=False)
 
@@ -560,7 +555,7 @@ def _make_frames_impl(
 ) -> tuple[list["Frame | None"], tuple["ItemFailure", ...]]:
     from repro.parallel.cache import frame_key
     from repro.parallel.executor import pmap
-    from repro.robust.partial import ItemFailure
+    from repro.robust.partial import ItemFailure, quarantine
 
     settings = settings or FrameSettings()
     with obs.span("clustering.make_frames", n_traces=len(traces)) as frames_span:
@@ -581,16 +576,14 @@ def _make_frames_impl(
             pending.append(index)
         if pending:
             built = pmap(
-                _frame_task if strict else _frame_task_quarantine,
-                [(index, traces[index], settings) for index in pending],
+                _frame_task,
+                [(index, traces[index], settings, strict) for index in pending],
                 jobs=jobs,
                 label="clustering.make_frames.pmap",
             )
             for index, frame in zip(pending, built):
                 if isinstance(frame, ItemFailure):
-                    failures.append(frame)
-                    obs.count("robust.quarantined_total", stage="frame")
-                    log.warning("quarantined frame: %s", frame)
+                    failures.append(quarantine(frame))
                     continue
                 frames[index] = frame
                 if cache is not None:

@@ -15,9 +15,9 @@ in a daemon thread serving:
   watch-telemetry summary (windows, last-window lag), alert totals and
   sampler state.
 
-Attach it to a watch run with ``repro-track watch --serve PORT`` or
-standalone via ``repro-track obs serve``.  Everything is stdlib-only
-and a pure observer — serving never touches tracking state.
+Attach it to a watch run with ``repro-track watch --serve PORT``.
+Everything is stdlib-only and a pure observer — serving never touches
+tracking state.
 """
 
 from __future__ import annotations

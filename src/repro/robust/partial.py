@@ -20,13 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generic, TypeVar
 
+from repro import obs
+from repro.obs.log import get_logger
+
 __all__ = [
     "EXIT_OK",
     "EXIT_PARTIAL",
     "EXIT_TOTAL",
     "ItemFailure",
     "PartialResult",
+    "quarantine",
 ]
+
+log = get_logger(__name__)
 
 #: Exit code of a fully successful run.
 EXIT_OK = 0
@@ -51,7 +57,7 @@ class ItemFailure:
         path, a ``"frame[i] -> frame[i+1]"`` pair description).
     stage:
         Pipeline stage that failed (``"load"``, ``"simulate"``,
-        ``"validate"``, ``"frame"``, ``"pair"``).
+        ``"validate"``, ``"frame"``, ``"pair"``, ``"window"``).
     error:
         Exception class name.
     message:
@@ -77,6 +83,18 @@ class ItemFailure:
         return f"[{self.stage}] {self.item}: {self.error}: {self.message}"
 
 
+def quarantine(failure: ItemFailure) -> ItemFailure:
+    """Record a quarantined item and hand it back.
+
+    Every stage that skips a failing item calls this once per item, so
+    ``robust.quarantined_total{stage}`` and the warning log cover each
+    quarantine the same way.
+    """
+    obs.count("robust.quarantined_total", stage=failure.stage)
+    log.warning("quarantined %s", failure)
+    return failure
+
+
 @dataclass(frozen=True)
 class PartialResult(Generic[T]):
     """A degraded-but-usable result plus the items it had to quarantine.
@@ -98,6 +116,13 @@ class PartialResult(Generic[T]):
     value: T
     failures: tuple[ItemFailure, ...] = field(default=())
 
+    @classmethod
+    def of(cls, outcome: "T | PartialResult[T]") -> "PartialResult[T]":
+        """*outcome* as a partial result; a strict run's value has no failures."""
+        if isinstance(outcome, PartialResult):
+            return outcome
+        return cls(value=outcome)
+
     @property
     def ok(self) -> bool:
         """True when no item was quarantined."""
@@ -112,10 +137,6 @@ class PartialResult(Generic[T]):
     def exit_code(self) -> int:
         """:data:`EXIT_OK` or :data:`EXIT_PARTIAL`."""
         return EXIT_OK if self.ok else EXIT_PARTIAL
-
-    def quarantined_items(self) -> tuple[str, ...]:
-        """Names of the quarantined items, in pipeline order."""
-        return tuple(failure.item for failure in self.failures)
 
     def summary(self) -> str:
         """Multi-line quarantine summary for terminal output."""

@@ -67,6 +67,8 @@ def execute_spec(spec: JobSpec, cache=None):
     :class:`~repro.tracking.tracker.TrackingResult`; a non-strict run's
     quarantine records come back in ``failures``.
     """
+    from repro.robust.partial import PartialResult
+
     traces = build_traces(spec)
     settings = spec.frame_settings()
     config = spec.tracker_config()
@@ -94,9 +96,8 @@ def execute_spec(spec: JobSpec, cache=None):
             cache=cache,
             strict=spec.strict,
         )
-    if spec.strict:
-        return outcome, ()
-    return outcome.value, tuple(outcome.failures)
+    partial = PartialResult.of(outcome)
+    return partial.value, partial.failures
 
 
 def result_payload(spec: JobSpec, result, failures=()) -> dict[str, Any]:

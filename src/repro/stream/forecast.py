@@ -41,7 +41,6 @@ from repro import obs
 from repro.obs.alerts import (
     AlertConfig,
     AlertRecord,
-    format_alert,
     summarize_alerts,
 )
 from repro.obs.metrics import Histogram
@@ -472,7 +471,3 @@ class WatchTelemetry:
             "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
         )
         return path
-
-    def format_alerts(self) -> list[str]:
-        """Stderr-ready lines of every accumulated alert."""
-        return [format_alert(alert) for alert in self.alerts]

@@ -45,7 +45,7 @@ from repro.obs.alerts import summarize_alerts
 from repro.obs.log import get_logger
 from repro.parallel.cache import PipelineCache, frame_key
 from repro.parallel.executor import pmap, resolve_jobs
-from repro.robust.partial import ItemFailure, PartialResult
+from repro.robust.partial import ItemFailure, PartialResult, quarantine
 from repro.robust.validate import validate_trace
 from repro.stream.checkpoint import (
     WindowRecord,
@@ -57,7 +57,7 @@ from repro.stream.forecast import WatchTelemetry
 from repro.stream.incremental import IncrementalTracker, TrackUpdate
 from repro.stream.window import slice_trace
 from repro.tracking.scaling import SpaceBounds
-from repro.tracking.tracker import TrackerConfig, TrackingResult
+from repro.tracking.tracker import TrackerConfig, TrackingResult, tracking_config
 from repro.trace.trace import Trace
 
 __all__ = ["track_windows", "windowed_traces"]
@@ -149,10 +149,6 @@ def _window_labels_task(task):
     return frame.labels
 
 
-def _status_matches(record: WindowRecord, status: str, window_index: int) -> bool:
-    return record.window == window_index and record.status == status
-
-
 def track_windows(
     trace: Trace,
     *,
@@ -226,13 +222,7 @@ def track_windows(
     in ``tests/stream`` enforces.
     """
     settings = settings or FrameSettings()
-    config = config or TrackerConfig()
-    if settings.log_y and not config.log_extensive:
-        log.info(
-            "settings.log_y=True overrides config.log_extensive=False for "
-            "the streaming space (matching quick_track)"
-        )
-        config = replace(config, log_extensive=True)
+    config = tracking_config(settings, config)
 
     with obsledger.run_record(
         "stream.track_windows",
@@ -261,11 +251,9 @@ def track_windows(
             except ReproError as exc:
                 if strict:
                     raise
-                failure = ItemFailure.from_exception(
-                    window.label(), "window", exc
+                failure = quarantine(
+                    ItemFailure.from_exception(window.label(), "window", exc)
                 )
-                obs.count("robust.quarantined_total", stage="window")
-                log.warning("quarantined window: %s", failure)
                 window_failures.append(failure)
                 statuses.append(("quarantined", failure))
                 continue

@@ -10,14 +10,14 @@ time-consuming behaviour in the study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import obs
 from repro._util import components
-from repro.clustering.frames import Frame
+from repro.clustering.frames import Frame, FrameSettings
 from repro.errors import TrackingError
 from repro.obs.log import get_logger
 from repro.tracking.combine import PairRelations, combine_pair
@@ -34,6 +34,7 @@ __all__ = [
     "TrackingResult",
     "Tracker",
     "chain_regions",
+    "tracking_config",
 ]
 
 log = get_logger(__name__)
@@ -54,12 +55,12 @@ def _track_pair(
 
     A strict run lets a failing pair's
     :class:`~repro.errors.ReproError` propagate.  A non-strict run
-    quarantines the pair: the failure record is counted on
-    ``robust.quarantined_total``, logged, and returned next to
-    evidence-free relations between the two frames.
+    quarantines the pair (:func:`repro.robust.partial.quarantine`) and
+    returns the failure record next to evidence-free relations between
+    the two frames.
     """
     from repro.errors import ReproError
-    from repro.robust.partial import ItemFailure
+    from repro.robust.partial import ItemFailure, quarantine
 
     try:
         with obs.span("tracking.pair", pair=index):
@@ -80,11 +81,9 @@ def _track_pair(
     except ReproError as exc:
         if strict:
             raise
-        failure = ItemFailure.from_exception(
+        failure = quarantine(ItemFailure.from_exception(
             f"{frame_a.label} -> {frame_b.label} (pair {index})", "pair", exc
-        )
-    obs.count("robust.quarantined_total", stage="pair")
-    log.warning("quarantined pair: %s", failure)
+        ))
     return _empty_pair_relations(frame_a, frame_b), failure
 
 
@@ -162,6 +161,26 @@ class TrackerConfig:
             raise TrackingError("sequence_threshold must be in [0, 1]")
         if self.max_align_ranks < 1:
             raise TrackingError("max_align_ranks must be >= 1")
+
+
+def tracking_config(
+    settings: FrameSettings, config: TrackerConfig | None
+) -> TrackerConfig:
+    """The tracker configuration for frames built with *settings*.
+
+    Frames clustered with ``settings.log_y`` live in a log-scaled
+    space, so tracking normalises extensive axes in log space too:
+    ``log_y`` overrides ``config.log_extensive=False``.
+    """
+    config = config or TrackerConfig()
+    if settings.log_y and not config.log_extensive:
+        log.info(
+            "settings.log_y=True overrides config.log_extensive=False: "
+            "extensive axes will be normalised in log space to match the "
+            "clustering space"
+        )
+        config = replace(config, log_extensive=True)
+    return config
 
 
 @dataclass(frozen=True)

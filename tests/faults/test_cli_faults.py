@@ -42,6 +42,16 @@ def test_nonstrict_corrupt_trace_exits_partial(good_traces, corrupt_prv, capsys)
     assert "tracked regions" in captured.out  # the survivors were tracked
 
 
+def test_report_nonstrict_prints_the_quarantine_block(
+    good_traces, corrupt_prv, capsys
+):
+    code = main(["report", *good_traces, corrupt_prv, "--no-strict"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_PARTIAL
+    block = lines.index("quarantine: 1 item failed")
+    assert lines[block + 1].startswith(f"  - [load] {corrupt_prv}: ")
+
+
 def test_nonstrict_clean_run_exits_zero(good_traces, capsys):
     code = main(["track", *good_traces, "--no-strict"])
     assert code == 0
