@@ -6,13 +6,17 @@ lives in its own module.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from collections.abc import Iterable, Sequence
+from pathlib import Path
 from typing import TypeVar
 
 import numpy as np
 
 __all__ = [
     "as_rng",
+    "atomic_write",
     "check_positive",
     "check_fraction",
     "check_nonempty",
@@ -90,6 +94,30 @@ def components(n_nodes: int, links: Iterable[tuple[int, int]]) -> list[list[int]
     for node in range(n_nodes):
         groups.setdefault(find(node), []).append(node)
     return list(groups.values())
+
+
+def atomic_write(path: str | Path, text: str) -> None:
+    """Write *text* to *path* so readers see the old file or the new one.
+
+    The text goes to a temp file in the same directory, which then
+    replaces *path*; on any failure the temp file is removed and *path*
+    keeps its old content.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    descriptor, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
+    )
+    try:
+        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 _SI_PREFIXES = [(1e12, "T"), (1e9, "G"), (1e6, "M"), (1e3, "k")]

@@ -51,7 +51,7 @@ __all__ = [
     "format_alert",
 ]
 
-#: Version tag of the serialised alert record (JSONL lines, checkpoints).
+#: Version tag of the serialised alert record (JSONL lines).
 ALERT_SCHEMA = "repro.alert/1"
 
 #: Every alert kind the monitor can emit, severity-ordered.
@@ -114,7 +114,7 @@ class AlertConfig:
 
 @dataclass(frozen=True)
 class AlertRecord:
-    """One emitted alert, JSON-stable for JSONL output and checkpoints.
+    """One emitted alert, JSON-stable for JSONL output.
 
     Attributes
     ----------
@@ -183,7 +183,7 @@ class AlertRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AlertRecord":
-        """Rebuild a record from its JSON form (checkpoint replay)."""
+        """Rebuild a record from its JSON form (an ``--alerts-jsonl`` line)."""
         kind = str(data["kind"])
         if kind not in ALERT_KINDS:
             raise ValueError(f"unknown alert kind {kind!r}")

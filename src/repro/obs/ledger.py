@@ -17,7 +17,8 @@ Design mirrors :class:`repro.parallel.cache.PipelineCache` hygiene:
   opened, keeping individual files tail-able and cheap to scan.
 * **Corrupt-line tolerance** — readers skip (and count) lines that are
   truncated or fail to parse instead of crashing; a half-written line
-  from a killed process cannot poison the ledger.
+  from a killed process or a full disk cannot poison the ledger, and
+  the next append starts a fresh line after it.
 
 The ledger is opt-in: :func:`resolve_ledger` returns ``None`` unless a
 directory is given explicitly (``--ledger-dir``) or via the
@@ -163,7 +164,9 @@ class JsonlJournal:
 
         Returns whether the whole line reached the file.  An OS-level
         failure is swallowed, so ledger writes never take a run down;
-        callers that promise durability check the result.
+        callers that promise durability check the result.  A line torn
+        by an earlier partial write is ended first, so it costs only
+        itself and never the line appended after it.
         """
         record = {"schema": self.schema}
         record.update(event)
@@ -172,9 +175,12 @@ class JsonlJournal:
         path = self._writable_segment(len(data))
         try:
             fd = os.open(
-                str(path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+                str(path), os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
             )
             try:
+                end = os.lseek(fd, 0, os.SEEK_END)
+                if end and os.pread(fd, 1, end - 1) != b"\n":
+                    data = b"\n" + data
                 return os.write(fd, data) == len(data)
             finally:
                 os.close(fd)

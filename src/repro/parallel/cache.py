@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cache for traces and frame labellings.
+"""Content-addressed on-disk cache for traces, labellings and checkpoints.
 
 Every bench and study re-simulates and re-clusters identical inputs
 from scratch; this cache makes those stages incremental.  Entries are
@@ -10,12 +10,16 @@ artefact depends on:
 - **frame labellings** — a content digest of the input trace plus the
   :class:`~repro.clustering.frames.FrameSettings` and the package
   version.  Only the per-point cluster labels are stored: points and
-  cluster objects are cheap to rebuild, DBSCAN is the expensive part.
+  cluster objects are cheap to rebuild, DBSCAN is the expensive part;
+- **stream checkpoints** — one entry per surviving window of a
+  windowed watch, holding that window's pair relations
+  (:mod:`repro.stream.checkpoint`).
 
 The cache is opt-in: it only engages when a directory is given via the
 ``--cache-dir`` CLI flag / API argument or the ``REPRO_CACHE``
-environment variable.  Writes are atomic (temp file + ``os.replace``),
-so concurrent runs sharing a directory never observe torn entries.
+environment variable.  Writes are atomic (:func:`repro._util.atomic_write`:
+temp file + ``os.replace``), so concurrent runs sharing a directory
+never observe torn entries.
 Corrupted or stale entries are detected (format check, stored-key
 echo, payload validation), dropped and recomputed — never crashed on.
 Hit/miss/corruption counts flow through :mod:`repro.obs`.
@@ -26,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
@@ -34,6 +37,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 import numpy as np
 
 from repro import obs
+from repro._util import atomic_write
 from repro._version import __version__
 from repro.errors import TraceFormatError
 from repro.obs.log import get_logger
@@ -238,7 +242,6 @@ class PipelineCache:
         """Atomically store *payload* under *key*; returns the entry path."""
         kind = str(key.get("kind", "misc"))
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         document = {
             "format": _CACHE_FORMAT,
             "key": _canonical(key),
@@ -246,19 +249,7 @@ class PipelineCache:
             "payload": payload,
         }
         with obs.span("cache.put", kind=kind):
-            descriptor, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                    json.dump(document, handle)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, json.dumps(document))
             obs.count("cache.writes_total", kind=kind)
         return path
 

@@ -32,9 +32,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 from typing import Any, Mapping
 
+from repro._util import atomic_write
 from repro.serve.spec import JobSpec
 
 __all__ = [
@@ -152,13 +152,6 @@ def canonical_json(payload: Mapping[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def run_job(task: Mapping[str, Any]) -> dict[str, Any]:
     """Execute one job inside its isolated worker process.
 
@@ -185,7 +178,7 @@ def run_job(task: Mapping[str, Any]) -> dict[str, Any]:
         result, failures = execute_spec(spec, cache=cache)
         payload = result_payload(spec, result, failures)
         result_path = paths.result_path(job_id)
-        _atomic_write(result_path, canonical_json(payload))
+        atomic_write(result_path, canonical_json(payload))
         from repro.obs.report import write_report
 
         report_path = paths.report_path(job_id)

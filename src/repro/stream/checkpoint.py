@@ -1,24 +1,26 @@
 """Checkpoint serde: resume a windowed watch from the pipeline cache.
 
-A streaming run over N windows stores, after every completed window, a
-checkpoint entry in the :class:`~repro.parallel.cache.PipelineCache`
-keyed by ``(trace digest, window spec, settings, config, strict)``.  The
-payload holds per-window outcomes (labels for built frames, quarantine
-records, empty markers) plus the full JSON form of every evaluated
-:class:`~repro.tracking.combine.PairRelations`, so a restarted watch
-replays completed windows verbatim — no DBSCAN, no evaluators — and
-continues live from the first uncompleted one.  JSON floats round-trip
-binary64 exactly, so replayed relations are bit-identical to the ones
-originally computed.
+A streaming run with a cache stores, after every live window, one
+:class:`~repro.parallel.cache.PipelineCache` entry for that window,
+keyed by the stream key (trace digest, window spec, settings, config,
+strict, max_live, checkpoint format) plus the window's index.  The
+entry holds only what nothing else stores: the JSON form of the
+window's :class:`~repro.tracking.combine.PairRelations` (``None`` for
+the first frame) and its quarantine record.  A resumed run takes the
+cluster labels from the frame-label cache, the window statuses from
+its pre-check pass and the alerts from the monitor its replayed pushes
+re-feed, so a window's entry costs the same at window 500 as at
+window 5.  JSON floats round-trip binary64 exactly, so replayed
+relations are bit-identical to the ones originally computed.
 
-Corruption handling follows the cache's contract: a checkpoint that
-fails to parse or validate in any way is dropped wholesale and the run
-starts cold — never crashed on, never partially trusted.
+Corruption handling follows the cache's contract: an entry that fails
+to parse is dropped and reads as a miss, and the run continues live
+from that window — never crashed on, never partially trusted.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Any, Mapping
 
 import numpy as np
@@ -26,7 +28,6 @@ import numpy as np
 from repro._version import __version__
 from repro.clustering.frames import FrameSettings
 from repro.errors import ReproError
-from repro.obs.alerts import AlertRecord
 from repro.obs.log import get_logger
 from repro.parallel.cache import PipelineCache, _canonical, trace_digest
 from repro.robust.partial import ItemFailure
@@ -41,8 +42,8 @@ from repro.tracking.tracker import TrackerConfig
 from repro.trace.trace import Trace
 
 __all__ = [
-    "WindowRecord",
     "stream_key",
+    "window_key",
     "load_checkpoint",
     "save_checkpoint",
     "pair_relations_to_json",
@@ -51,31 +52,9 @@ __all__ = [
 
 log = get_logger(__name__)
 
-#: Checkpoint payload schema written and read by this version.  Format 2
-#: added the per-window ``alerts`` list.  A checkpoint in any other
-#: format is discarded and the run starts cold.
-_CHECKPOINT_FORMAT = 2
-
-
-@dataclass(frozen=True)
-class WindowRecord:
-    """Outcome of one processed window, as stored in a checkpoint.
-
-    ``status`` is ``"ok"`` (with the frame's per-point *labels*),
-    ``"empty"`` (no bursts) or ``"quarantined"`` (with the *failure*
-    record).  ``pair`` / ``pair_failure`` carry the relations evaluated
-    when this window's frame was pushed (``None`` for the first frame
-    and for non-ok windows).  ``alerts`` holds the monitor's alerts for
-    this window when the run had alerting enabled (empty otherwise).
-    """
-
-    window: int
-    status: str
-    labels: np.ndarray | None = None
-    failure: ItemFailure | None = None
-    pair: PairRelations | None = None
-    pair_failure: ItemFailure | None = None
-    alerts: tuple[AlertRecord, ...] = ()
+#: Checkpoint entry schema, part of the stream key.  Format 3 stores one
+#: entry per window; entries of any other format are plain misses.
+_CHECKPOINT_FORMAT = 3
 
 
 def stream_key(
@@ -103,8 +82,14 @@ def stream_key(
         "config": _canonical(asdict(config)),
         "strict": bool(strict),
         "max_live": None if max_live is None else int(max_live),
+        "format": _CHECKPOINT_FORMAT,
         "version": version,
     }
+
+
+def window_key(key: Mapping[str, Any], window: int) -> dict[str, Any]:
+    """Cache key of one window's checkpoint entry within stream *key*."""
+    return {**key, "window": int(window)}
 
 
 # ----------------------------------------------------------------------
@@ -224,111 +209,52 @@ def pair_relations_from_json(data: Mapping[str, Any]) -> PairRelations:
     )
 
 
-def _failure_to_json(failure: ItemFailure | None) -> dict[str, str] | None:
-    if failure is None:
-        return None
-    return {
-        "item": failure.item,
-        "stage": failure.stage,
-        "error": failure.error,
-        "message": failure.message,
-    }
-
-
-def _failure_from_json(data: Mapping[str, str] | None) -> ItemFailure | None:
-    if data is None:
-        return None
-    return ItemFailure(
-        item=str(data["item"]),
-        stage=str(data["stage"]),
-        error=str(data["error"]),
-        message=str(data["message"]),
-    )
-
-
 # ----------------------------------------------------------------------
 # Checkpoint load/save
 # ----------------------------------------------------------------------
 def save_checkpoint(
     cache: PipelineCache,
     key: Mapping[str, Any],
-    records: list[WindowRecord],
+    window: int,
+    pair: PairRelations | None,
+    pair_failure: ItemFailure | None,
 ) -> None:
-    """Store the windows completed so far under the stream key."""
-    payload = {
-        "format": _CHECKPOINT_FORMAT,
-        "windows": [
-            {
-                "window": record.window,
-                "status": record.status,
-                "labels": (
-                    np.asarray(record.labels).tolist()
-                    if record.labels is not None
-                    else None
-                ),
-                "failure": _failure_to_json(record.failure),
-                "pair": (
-                    pair_relations_to_json(record.pair)
-                    if record.pair is not None
-                    else None
-                ),
-                "pair_failure": _failure_to_json(record.pair_failure),
-                "alerts": [alert.to_dict() for alert in record.alerts],
-            }
-            for record in records
-        ],
-    }
-    cache.put(key, payload)
+    """Store one completed window's pair relations under the stream key."""
+    cache.put(
+        window_key(key, window),
+        {
+            "pair": pair_relations_to_json(pair) if pair is not None else None,
+            "pair_failure": (
+                asdict(pair_failure) if pair_failure is not None else None
+            ),
+        },
+    )
 
 
 def load_checkpoint(
     cache: PipelineCache,
     key: Mapping[str, Any],
-) -> list[WindowRecord] | None:
-    """Fetch and materialise a checkpoint, or ``None``.
+    window: int,
+) -> tuple[PairRelations | None, ItemFailure | None] | None:
+    """Fetch one window's ``(pair, pair_failure)``, or ``None`` on a miss.
 
-    Any parse or validation problem — wrong schema, malformed matrices,
-    inconsistent shapes — drops the entry and returns ``None`` so the
-    run simply starts cold.
+    An entry that does not parse — missing fields, malformed matrices,
+    inconsistent shapes — is dropped and reads as a miss.
     """
-    payload = cache.get(key)
+    entry = window_key(key, window)
+    payload = cache.get(entry)
     if payload is None:
         return None
     try:
-        if payload.get("format") != _CHECKPOINT_FORMAT:
-            raise ValueError(f"checkpoint format {payload.get('format')!r}")
-        records: list[WindowRecord] = []
-        for entry in payload["windows"]:
-            status = str(entry["status"])
-            if status not in ("ok", "empty", "quarantined"):
-                raise ValueError(f"unknown window status {status!r}")
-            labels = entry.get("labels")
-            if status == "ok" and labels is None:
-                raise ValueError("ok window without labels")
-            records.append(
-                WindowRecord(
-                    window=int(entry["window"]),
-                    status=status,
-                    labels=(
-                        np.asarray(labels, dtype=np.int32)
-                        if labels is not None
-                        else None
-                    ),
-                    failure=_failure_from_json(entry.get("failure")),
-                    pair=(
-                        pair_relations_from_json(entry["pair"])
-                        if entry.get("pair") is not None
-                        else None
-                    ),
-                    pair_failure=_failure_from_json(entry.get("pair_failure")),
-                    alerts=tuple(
-                        AlertRecord.from_dict(alert)
-                        for alert in entry["alerts"]
-                    ),
-                )
-            )
-        return records
-    except (KeyError, TypeError, ValueError, ReproError) as error:
-        log.warning("discarding corrupt stream checkpoint: %s", error)
-        cache.invalidate(key)
+        pair, failure = payload["pair"], payload["pair_failure"]
+        return (
+            pair_relations_from_json(pair) if pair is not None else None,
+            ItemFailure(**failure) if failure is not None else None,
+        )
+    except (
+        KeyError, TypeError, ValueError, OverflowError, ReproError
+    ) as error:
+        log.warning("discarding corrupt checkpoint of window #%d: %s",
+                    window, error)
+        cache.invalidate(entry)
         return None

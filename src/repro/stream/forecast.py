@@ -125,10 +125,6 @@ class StreamMonitor:
         """Number of tracks the monitor has ever followed."""
         return len(self._tracks)
 
-    def reset(self) -> None:
-        """Drop all trend/presence state (cold restart of the stream)."""
-        self._tracks.clear()
-
     # ------------------------------------------------------------------
     def observe(self, update) -> tuple[AlertRecord, ...]:
         """Inspect one :class:`TrackUpdate`; return the alerts it raises.
@@ -375,22 +371,14 @@ class WatchTelemetry:
         """Whether the online monitor is attached."""
         return self.monitor is not None
 
-    def reset_stream_state(self) -> None:
-        """Forget replayed/live progress (corrupt-checkpoint cold start)."""
-        self.n_resumed = 0
-        self.n_updates = 0
-        self.update_seconds = Histogram("stream.update_seconds", ())
-        self.alerts = []
-        self.last_window = -1
-        self.last_update_monotonic = None
-        if self.monitor is not None:
-            self.monitor.reset()
-
     def record_update(
         self, update, *, seconds: float | None = None
     ) -> None:
-        """Account one tracker push (live when *seconds* is given)."""
-        if seconds is not None and update.pair is not None:
+        """Account one tracker push: live when *seconds* is given, else
+        replayed from a checkpoint."""
+        if seconds is None:
+            self.n_resumed += 1
+        elif update.pair is not None:
             self.n_updates += 1
             self.update_seconds.observe(seconds)
         try:

@@ -17,18 +17,17 @@
    :class:`~repro.stream.incremental.IncrementalTracker`, emit a
    :class:`~repro.stream.incremental.TrackUpdate` through *on_update*,
    record per-window metrics (``stream.update_seconds`` histogram,
-   ``stream.updates_total``) and persist a resume checkpoint after
-   every completed window.
+   ``stream.updates_total``) and store the window's checkpoint entry.
 
-A restarted run with the same cache replays completed windows from the
-checkpoint (counted on ``stream.windows_resumed``) without recomputing
-frames or evaluators, then continues live.
+A restarted run with the same cache replays the leading windows that
+have an entry (counted on ``stream.windows_resumed``) through the same
+loop, with their labels from the frame-label cache and their stored
+pairs instead of the evaluators, then continues live.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Callable
 
 from repro import obs
@@ -48,14 +47,15 @@ from repro.parallel.executor import pmap, resolve_jobs
 from repro.robust.partial import ItemFailure, PartialResult, quarantine
 from repro.robust.validate import validate_trace
 from repro.stream.checkpoint import (
-    WindowRecord,
     load_checkpoint,
     save_checkpoint,
     stream_key,
+    window_key,
 )
 from repro.stream.forecast import WatchTelemetry
 from repro.stream.incremental import IncrementalTracker, TrackUpdate
 from repro.stream.window import slice_trace
+from repro.tracking.combine import PairRelations
 from repro.tracking.scaling import SpaceBounds
 from repro.tracking.tracker import TrackerConfig, TrackingResult, tracking_config
 from repro.trace.trace import Trace
@@ -185,9 +185,10 @@ def track_windows(
         surviving windows raises :class:`TrackingError` either way.
     cache:
         Optional pipeline cache.  Enables both the per-window
-        frame-label cache and the stream checkpoint keyed by
-        (trace digest, window spec, settings, config, strict): a
-        restarted run resumes from the last completed window.
+        frame-label cache and one checkpoint entry per window keyed by
+        (trace digest, window spec, settings, config, strict,
+        max_live_windows, window): a restarted run resumes after the
+        last window it stored.
     on_update:
         Called with a :class:`TrackUpdate` after every *live* frame
         push (replayed windows do not re-fire it).
@@ -198,10 +199,9 @@ def track_windows(
         :class:`~repro.stream.forecast.StreamMonitor` is attached
         (``WatchTelemetry(alerts=AlertConfig())``), every pushed frame
         is also forecast-checked and the resulting alerts ride on
-        :attr:`TrackUpdate.alerts`, the checkpoint, and
-        ``telemetry.alerts``.  Monitoring is a pure observer: the
-        tracked regions/relations/labels are bit-identical with it on
-        or off.
+        :attr:`TrackUpdate.alerts` and ``telemetry.alerts``.
+        Monitoring is a pure observer: the tracked
+        regions/relations/labels are bit-identical with it on or off.
     jobs:
         Worker count for the multi-process window fan-out.  More than
         one job prefetches the pending windows' cluster labels across
@@ -236,34 +236,26 @@ def track_windows(
         obs.count("stream.windows_total", len(windows))
 
         # Pass 1: decide which windows survive, without running DBSCAN.
-        # statuses[i] is ("ok", points) | ("empty", None) |
-        # ("quarantined", failure); survivors keep per-window raw points
-        # for the bounds computation.
-        statuses: list[tuple[str, object]] = []
+        # Survivors keep their raw points for the bounds computation.
+        survivors: list[tuple[int, object]] = []
         window_failures: list[ItemFailure] = []
-        for window in windows:
+        n_empty = 0
+        for index, window in enumerate(windows):
             if window.n_bursts == 0:
                 obs.count("stream.windows_empty")
-                statuses.append(("empty", None))
+                n_empty += 1
                 continue
             try:
                 _, points = precheck_frame_input(window, settings)
             except ReproError as exc:
                 if strict:
                     raise
-                failure = quarantine(
+                window_failures.append(quarantine(
                     ItemFailure.from_exception(window.label(), "window", exc)
-                )
-                window_failures.append(failure)
-                statuses.append(("quarantined", failure))
+                ))
                 continue
-            statuses.append(("ok", points))
+            survivors.append((index, points))
 
-        survivors = [
-            (index, payload)
-            for index, (status, payload) in enumerate(statuses)
-            if status == "ok"
-        ]
         if len(survivors) < 2:
             raise TrackingError(
                 f"fewer than two windows survived "
@@ -277,130 +269,103 @@ def track_windows(
             reference=config.reference,
             log_extensive=config.log_extensive,
         )
-        monitor = telemetry.monitor if telemetry is not None else None
         if telemetry is not None:
             telemetry.n_windows = len(windows)
-            telemetry.n_empty = sum(
-                1 for status, _ in statuses if status == "empty"
-            )
-            telemetry.n_quarantined = sum(
-                1 for status, _ in statuses if status == "quarantined"
-            )
+            telemetry.n_empty = n_empty
+            telemetry.n_quarantined = len(window_failures)
         tracker = IncrementalTracker(
-            config, bounds=bounds, strict=strict, monitor=monitor,
+            config, bounds=bounds, strict=strict,
+            monitor=telemetry.monitor if telemetry is not None else None,
             max_live_frames=max_live_windows,
         )
 
-        # Checkpoint replay: adopt completed windows verbatim.
+        # Checkpoint prefix: the stored pairs of the leading surviving
+        # windows, up to the first window without an entry.
+        ok_windows = [index for index, _ in survivors]
         key = None
-        records: list[WindowRecord] = []
-        resume_from = 0
+        stored: list[tuple[PairRelations | None, ItemFailure | None]] = []
         if cache is not None:
             key = stream_key(
                 trace, spec.as_dict(), settings, config, strict=strict,
                 max_live=max_live_windows,
             )
-            stored = load_checkpoint(cache, key)
-            if stored is not None:
-                try:
-                    resume_from = _replay(
-                        stored, statuses, windows, settings, tracker,
-                        records, telemetry,
-                    )
-                except (ReproError, ValueError, IndexError) as error:
-                    log.warning(
-                        "stream checkpoint did not replay cleanly (%s); "
-                        "starting cold", error,
-                    )
-                    cache.invalidate(key)
-                    records = []
-                    resume_from = 0
-                    if telemetry is not None:
-                        telemetry.reset_stream_state()
-                        monitor = telemetry.monitor
-                    tracker = IncrementalTracker(
-                        config, bounds=bounds, strict=strict, monitor=monitor,
-                        max_live_frames=max_live_windows,
-                    )
+            for index in ok_windows:
+                entry = load_checkpoint(cache, key, index)
+                if entry is None:
+                    break
+                stored.append(entry)
 
         # Multi-process fan-out: prefetch the pending windows' labels
         # across workers before the (serial, order-preserving) push
         # loop.  Labels are bit-identical however they were computed,
         # so parallel prefetch cannot change the result.
         prefetched: dict[int, object] = {}
-        pending_ok = [
-            index
-            for index in range(resume_from, len(windows))
-            if statuses[index][0] == "ok"
-        ]
-        if resolve_jobs(jobs) > 1 and len(pending_ok) >= 2:
+        pending = ok_windows[len(stored):]
+        if resolve_jobs(jobs) > 1 and len(pending) >= 2:
             cache_root = str(cache.root) if cache is not None else None
             label_results = pmap(
                 _window_labels_task,
-                [
-                    (windows[index], settings, cache_root)
-                    for index in pending_ok
-                ],
+                [(windows[index], settings, cache_root) for index in pending],
                 jobs=jobs,
                 label="stream.windows.pmap",
             )
-            prefetched = dict(zip(pending_ok, label_results))
+            prefetched = dict(zip(pending, label_results))
 
-        # Pass 2: stream the remaining windows.
-        for index in range(resume_from, len(windows)):
-            status, payload = statuses[index]
-            window = windows[index]
-            if status == "empty":
-                records.append(WindowRecord(window=index, status="empty"))
-            elif status == "quarantined":
-                records.append(
-                    WindowRecord(
-                        window=index, status="quarantined", failure=payload
-                    )
+        # Pass 2: push every surviving window.  The checkpoint prefix
+        # replays its stored pairs; every later window runs live and
+        # stores its own entry.
+        previous_ids: set[int] | None = None
+        for position, index in enumerate(ok_windows):
+            with obs.span("stream.window", window=index):
+                started = time.perf_counter()
+                frame = _window_frame(
+                    windows[index], settings, cache,
+                    labels=prefetched.get(index),
                 )
-            else:
-                with obs.span("stream.window", window=index):
-                    started = time.perf_counter()
-                    frame = _window_frame(
-                        window, settings, cache, labels=prefetched.get(index)
+                if position < len(stored) and not _pair_fits(
+                    stored[position][0], previous_ids, frame
+                ):
+                    log.warning(
+                        "checkpoint of window #%d does not fit its frames; "
+                        "continuing live", index,
                     )
-                    update = tracker.push(frame)
-                    elapsed = time.perf_counter() - started
-                    if update.pair is not None:
-                        obs.observe("stream.update_seconds", elapsed)
-                        obs.count("stream.updates_total")
-                    if telemetry is not None:
-                        telemetry.record_update(update, seconds=elapsed)
-                    if obs.enabled():
-                        obs.set_gauge("stream.last_window", index)
-                        obs.set_gauge(
-                            "stream.live_windows", tracker.n_live_frames
-                        )
-                        obs.set_gauge(
-                            "stream.evalcache_entries",
-                            tracker.cache_info()["entries"],
-                        )
-                    records.append(
-                        WindowRecord(
-                            window=index,
-                            status="ok",
-                            labels=frame.labels,
-                            pair=update.pair,
-                            pair_failure=update.failure,
-                            alerts=update.alerts,
-                        )
+                    cache.invalidate(window_key(key, index))
+                    del stored[position:]
+                replayed = position < len(stored)
+                update = tracker.push(
+                    frame, precomputed=stored[position] if replayed else None
+                )
+                elapsed = time.perf_counter() - started
+                if replayed:
+                    obs.count("stream.windows_resumed")
+                elif update.pair is not None:
+                    obs.observe("stream.update_seconds", elapsed)
+                    obs.count("stream.updates_total")
+                if telemetry is not None:
+                    telemetry.record_update(
+                        update, seconds=None if replayed else elapsed
                     )
-                if on_update is not None:
-                    on_update(update)
+                if obs.enabled():
+                    obs.set_gauge("stream.last_window", index)
+                    obs.set_gauge("stream.live_windows", tracker.n_live_frames)
+                    obs.set_gauge(
+                        "stream.evalcache_entries",
+                        tracker.cache_info()["entries"],
+                    )
+            previous_ids = set(frame.cluster_ids)
+            if replayed:
+                continue
+            if on_update is not None:
+                on_update(update)
             if cache is not None:
-                save_checkpoint(cache, key, records)
+                save_checkpoint(cache, key, index, update.pair, update.failure)
 
         result = tracker.result()
         if obs.enabled():
             run_span.set(
                 n_windows=len(windows),
                 n_survivors=len(survivors),
-                n_resumed=resume_from,
+                n_resumed=len(stored),
                 coverage=result.coverage,
             )
             if telemetry is not None and telemetry.alerts_enabled:
@@ -410,7 +375,7 @@ def track_windows(
                 stream={
                     "n_windows": len(windows),
                     "n_survivors": len(survivors),
-                    "n_resumed": resume_from,
+                    "n_resumed": len(stored),
                     "key_digest": (
                         obsledger.config_digest(key) if key is not None else None
                     ),
@@ -433,69 +398,19 @@ def track_windows(
         )
 
 
-def _replay(
-    stored: list[WindowRecord],
-    statuses: list[tuple[str, object]],
-    windows: list[Trace],
-    settings: FrameSettings,
-    tracker: IncrementalTracker,
-    records: list[WindowRecord],
-    telemetry: WatchTelemetry | None = None,
-) -> int:
-    """Feed checkpointed windows back into *tracker*; return the resume index.
+def _pair_fits(
+    pair: PairRelations | None, previous_ids: set[int] | None, frame: Frame
+) -> bool:
+    """Whether a checkpointed *pair* can join *frame* to its predecessor.
 
-    The checkpoint must describe a prefix of this run's windows with the
-    same per-window statuses, and each stored relation may only name
-    cluster ids of the two frames it joins (the key pins trace digest,
-    spec, settings, config and strictness, so a mismatch means
-    corruption); any disagreement raises :class:`ValueError` and the
-    caller starts cold.
-
-    When the tracker carries a monitor, replayed pushes rebuild its
-    trend state and alerts are *recomputed* (deterministically — the
-    monitor is a pure function of the pushed frames) rather than
-    trusted from the checkpoint, so a checkpoint written without
-    alerting resumes into an alerting run seamlessly.
+    The first frame has no pair, and every later pair relates only
+    cluster ids of its two frames.  The key pins trace digest, spec,
+    settings, config and strictness, so a misfit means corruption.
     """
-    previous: Frame | None = None
-    for position, record in enumerate(stored):
-        if record.window != position or position >= len(windows):
-            raise ValueError(
-                f"checkpoint window #{record.window} out of sequence"
-            )
-        status, _ = statuses[position]
-        if record.status != status:
-            raise ValueError(
-                f"checkpoint window #{position} status {record.status!r} "
-                f"disagrees with recomputed status {status!r}"
-            )
-        if record.status == "ok":
-            frame = frame_from_labels(
-                windows[position], settings, record.labels
-            )
-            precomputed = None
-            if previous is not None:
-                if record.pair is None:
-                    raise ValueError(
-                        f"checkpoint window #{position} lacks its pair"
-                    )
-                left, right = set(previous.cluster_ids), set(frame.cluster_ids)
-                if any(
-                    not (relation.left <= left and relation.right <= right)
-                    for relation in record.pair.relations
-                ):
-                    raise ValueError(
-                        f"checkpoint window #{position} relates cluster ids "
-                        "its frames lack"
-                    )
-                precomputed = (record.pair, record.pair_failure)
-            update = tracker.push(frame, precomputed=precomputed)
-            previous = frame
-            obs.count("stream.windows_resumed")
-            if tracker.monitor is not None:
-                record = replace(record, alerts=update.alerts)
-            if telemetry is not None:
-                telemetry.n_resumed += 1
-                telemetry.record_update(update)
-        records.append(record)
-    return len(stored)
+    if pair is None or previous_ids is None:
+        return pair is None and previous_ids is None
+    current = set(frame.cluster_ids)
+    return all(
+        relation.left <= previous_ids and relation.right <= current
+        for relation in pair.relations
+    )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import json
+import os
 import threading
 
 import pytest
@@ -211,6 +212,22 @@ def full_disk(monkeypatch):
     monkeypatch.setattr("repro.obs.ledger.os.write", _no_space)
 
 
+@pytest.fixture
+def torn_first_line(monkeypatch):
+    """The first journal line write stops halfway, as on a disk that
+    fills up mid-write; later writes go through whole."""
+    write = os.write
+    torn = []
+
+    def tearing_write(fd, data):
+        if not torn and data.startswith(b"{") and data.endswith(b"\n"):
+            torn.append(data)
+            return write(fd, data[: len(data) // 2])
+        return write(fd, data)
+
+    monkeypatch.setattr("repro.obs.ledger.os.write", tearing_write)
+
+
 class TestJournalWriteFailure:
     """Accepted means durable: a job whose journal write fails is refused."""
 
@@ -242,3 +259,20 @@ class TestJournalWriteFailure:
         ledger = RunLedger(tmp_path)
         assert ledger.append({"event": "start"}) is False  # must not raise
         assert ledger.read_events() == []
+
+    def test_torn_line_costs_only_itself(self, tmp_path, torn_first_line):
+        ledger = RunLedger(tmp_path)
+        assert ledger.append({"event": "start", "run_id": "a"}) is False
+        assert ledger.append({"event": "start", "run_id": "b"}) is True
+        assert [e["run_id"] for e in ledger.read_events()] == ["b"]
+        assert ledger.corrupt_lines == 1
+
+    def test_job_accepted_after_a_torn_line_is_recovered(
+        self, tmp_path, torn_first_line
+    ):
+        queue, _ = make_queue(tmp_path)
+        with pytest.raises(ServeError, match="journal"):
+            queue.submit("a", SPEC)
+        accepted = queue.submit("b", SPEC)
+        rebuilt = JobQueue(JobJournal(tmp_path / "journal"))
+        assert [r.job_id for r in rebuilt.recover()] == [accepted.job_id]

@@ -1,127 +1,125 @@
-"""Checkpoint format compatibility: only the current format loads.
+"""Checkpoint entries: one per surviving window, and only the current format.
 
-Format 2 added the per-window ``alerts`` list.  These tests pin the
-contract: a format-2 checkpoint round-trips its alerts, while any other
-format — the alert-less format 1 as much as a future one — is dropped
-wholesale and the run starts cold, like any corrupt entry.
+A watch with a cache stores one entry per surviving window, holding
+that window's pair relations and nothing the run can rebuild (labels,
+statuses, alerts).  These tests pin the contract: every entry of a
+finished run loads, an entry that does not parse or does not fit its
+frames is dropped and the run continues live from that window, and an
+entry written under another checkpoint format or key is a plain miss.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.clustering.frames import FrameSettings
-from repro.obs.alerts import AlertConfig
 from repro.parallel.cache import PipelineCache
-from repro.stream import WatchTelemetry, slice_trace, track_windows
+from repro.stream import WINDOW_KEY, WatchTelemetry, slice_trace, track_windows
 from repro.stream.checkpoint import (
     _CHECKPOINT_FORMAT,
     load_checkpoint,
+    pair_relations_to_json,
     stream_key,
+    window_key,
 )
 from repro.tracking.tracker import TrackerConfig
 from tests.stream.test_alerts import DRIFT_WINDOW_NS, build_drift_trace
 
 
-def _checkpointed_run(tmp_path, *, alerts=None):
+def _checkpointed_run(tmp_path):
     """One full watch over the drift trace; returns (trace, cache, key)."""
     trace = build_drift_trace(drift=True)
     cache = PipelineCache(tmp_path / "cache")
-    telemetry = WatchTelemetry(alerts=alerts)
-    track_windows(
-        trace, window_ns=DRIFT_WINDOW_NS, cache=cache, telemetry=telemetry
-    )
+    track_windows(trace, window_ns=DRIFT_WINDOW_NS, cache=cache)
     spec, _ = slice_trace(trace, window_ns=DRIFT_WINDOW_NS)
     key = stream_key(
         trace, spec.as_dict(), FrameSettings(), TrackerConfig(), strict=True
     )
-    return trace, cache, key, telemetry
+    return trace, cache, key
 
 
-def _downgrade_to_format1(cache, key):
-    """Rewrite the stored checkpoint as a faithful format-1 payload."""
-    payload = cache.get(key)
-    assert payload is not None and payload["format"] == _CHECKPOINT_FORMAT
-    payload["format"] = 1
-    for window in payload["windows"]:
-        window.pop("alerts", None)
-    cache.put(key, payload)
+def _surviving_windows(result):
+    """Window index of every frame a tracking result holds, in order."""
+    return [frame.trace.scenario[WINDOW_KEY] for frame in result.frames]
 
 
 class TestFormatConstants:
     def test_current_format_is_accepted(self, tmp_path):
-        _, cache, key, _ = _checkpointed_run(tmp_path)
-        assert cache.get(key)["format"] == _CHECKPOINT_FORMAT
-        assert load_checkpoint(cache, key) is not None
-
-
-class TestFormatOne:
-    def test_resume_starts_cold(self, tmp_path):
-        trace, cache, key, _ = _checkpointed_run(tmp_path)
-        _downgrade_to_format1(cache, key)
+        trace, cache, key = _checkpointed_run(tmp_path)
+        assert key["format"] == _CHECKPOINT_FORMAT
         reference = track_windows(trace, window_ns=DRIFT_WINDOW_NS)
-        telemetry = WatchTelemetry()
-        resumed = track_windows(
-            trace, window_ns=DRIFT_WINDOW_NS, cache=cache,
-            telemetry=telemetry,
-        )
-        assert telemetry.n_resumed == 0
-        assert resumed.regions == reference.regions
+        windows = _surviving_windows(reference)
+        entries = [load_checkpoint(cache, key, w) for w in windows]
+        assert all(entry is not None for entry in entries)
+        assert entries[0] == (None, None)
+        assert [pair_relations_to_json(pair) for pair, _ in entries[1:]] == [
+            pair_relations_to_json(pair) for pair in reference.pair_relations
+        ]
+        for window in windows:
+            assert set(cache.get(window_key(key, window))) == {
+                "pair", "pair_failure",
+            }
+        assert cache.info().by_kind["stream"] == len(windows)
 
 
 class TestFormatTwo:
-    def test_alerts_round_trip_through_the_checkpoint(self, tmp_path):
-        _, cache, key, telemetry = _checkpointed_run(
-            tmp_path, alerts=AlertConfig()
-        )
-        assert telemetry.alerts
-        records = load_checkpoint(cache, key)
-        stored = [
-            alert for record in records for alert in record.alerts
-        ]
-        assert stored == telemetry.alerts
+    """Entries that do not parse, or do not fit their frames."""
 
     def test_unknown_future_format_is_dropped(self, tmp_path):
-        """Format 1, written before alerting, is as unknown as format 99."""
-        _, cache, key, _ = _checkpointed_run(tmp_path)
-        payload = cache.get(key)
-        for unknown in (1, 99):
-            cache.put(key, {**payload, "format": unknown})
-            assert load_checkpoint(cache, key) is None
+        """A payload this version cannot parse is dropped and misses."""
+        _, cache, key = _checkpointed_run(tmp_path)
+        entry = window_key(key, 1)
+        for unknown in (
+            {"format": 99, "windows": []},
+            {"pair": {"relations": "garbage"}, "pair_failure": None},
+            {
+                "pair": {"relations": [{"left": [float("inf")], "right": []}]},
+                "pair_failure": None,
+            },
+        ):
+            cache.put(entry, unknown)
+            assert load_checkpoint(cache, key, 1) is None
+            assert cache.get(entry) is None
 
-    def test_malformed_alert_entry_drops_the_checkpoint(self, tmp_path):
-        _, cache, key, _ = _checkpointed_run(
-            tmp_path, alerts=AlertConfig()
-        )
-        payload = cache.get(key)
-        tainted = next(
-            w for w in payload["windows"] if w.get("alerts")
-        )
-        tainted["alerts"][0]["kind"] = "meltdown"
-        cache.put(key, payload)
-        assert load_checkpoint(cache, key) is None
-
-    def test_relation_naming_a_missing_cluster_starts_cold(self, tmp_path):
-        """A stored pair relating a cluster id its frames lack (re-put with
-        a valid digest) replays into a cold start, not a crash."""
-        trace, cache, key, _ = _checkpointed_run(tmp_path)
-        payload = cache.get(key)
-        tainted = next(
-            w for w in payload["windows"]
-            if w["pair"] is not None and w["pair"]["relations"]
-        )
-        tainted["pair"]["relations"][0]["left"] = [99]
-        cache.put(key, payload)
+    @pytest.mark.parametrize(
+        "tamper", ["missing-cluster", "no-pair", "unparseable"]
+    )
+    def test_relation_naming_a_missing_cluster_continues_live(
+        self, tmp_path, tamper
+    ):
+        """A bad entry (re-put with a valid digest) sends the run live
+        from that window, not into a crash or a cold restart."""
+        trace, cache, key = _checkpointed_run(tmp_path)
         reference = track_windows(trace, window_ns=DRIFT_WINDOW_NS)
+        windows = _surviving_windows(reference)
+        position = next(
+            p for p, pair in enumerate(reference.pair_relations, start=1)
+            if pair.relations
+        )
+        entry = window_key(key, windows[position])
+        payload = cache.get(entry)
+        if tamper == "missing-cluster":
+            payload["pair"]["relations"][0]["left"] = [99]
+        elif tamper == "no-pair":
+            payload["pair"] = None
+        else:
+            del payload["pair"]["displacement_ab"]
+        cache.put(entry, payload)
         telemetry = WatchTelemetry()
         resumed = track_windows(
             trace, window_ns=DRIFT_WINDOW_NS, cache=cache,
             telemetry=telemetry,
         )
-        assert telemetry.n_resumed == 0
+        assert telemetry.n_resumed == position
         assert resumed.regions == reference.regions
         assert resumed.coverage == reference.coverage
         assert [p.relations for p in resumed.pair_relations] == [
             p.relations for p in reference.pair_relations
         ]
+        rewritten, _ = load_checkpoint(cache, key, windows[position])
+        assert pair_relations_to_json(rewritten) == pair_relations_to_json(
+            reference.pair_relations[position - 1]
+        )
 
 
 class TestKeyMismatch:
@@ -140,13 +138,22 @@ class TestKeyMismatch:
         )
 
     def test_default_key_unchanged_by_default_knobs(self, tmp_path):
-        trace, cache, key, _ = _checkpointed_run(tmp_path)
+        trace, cache, key = _checkpointed_run(tmp_path)
         explicit = self._key(trace, max_live=None)
         assert explicit == key
-        assert load_checkpoint(cache, explicit) is not None
+        assert load_checkpoint(cache, explicit, 0) is not None
 
     def test_max_live_mismatch_misses(self, tmp_path):
-        trace, cache, _, _ = _checkpointed_run(tmp_path)
+        trace, cache, _ = _checkpointed_run(tmp_path)
         bounded = self._key(trace, max_live=3)
-        assert cache.get(bounded) is None
-        assert load_checkpoint(cache, bounded) is None
+        assert cache.get(window_key(bounded, 0)) is None
+        assert load_checkpoint(cache, bounded, 0) is None
+
+    def test_other_format_misses(self, tmp_path):
+        """An entry written under another checkpoint format is a miss."""
+        trace, cache, key = _checkpointed_run(tmp_path)
+        older = {**key, "format": _CHECKPOINT_FORMAT - 1}
+        other = PipelineCache(tmp_path / "other")
+        other.put(window_key(older, 1), cache.get(window_key(key, 1)))
+        assert load_checkpoint(other, older, 1) is not None
+        assert load_checkpoint(other, key, 1) is None

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.apps import wrf
 from repro.cli import main
 from repro.errors import ReproError
 from repro.parallel.cache import PipelineCache
 from repro.robust.partial import PartialResult
 from repro.stream import track_windows
-from repro.stream.checkpoint import load_checkpoint, save_checkpoint, stream_key
+from repro.stream.checkpoint import load_checkpoint, stream_key, window_key
 from repro.stream.window import slice_trace
 from repro.clustering.frames import FrameSettings
 from repro.tracking.tracker import TrackerConfig
@@ -115,11 +116,18 @@ class TestTrackWindowsMetrics:
 
 
 class TestResume:
-    def test_warm_rerun_replays_everything(self, toy_trace, tmp_path, metrics):
+    def test_warm_rerun_replays_everything(
+        self, toy_trace, tmp_path, metrics, monkeypatch
+    ):
         counter, histogram_count = metrics
         cache = PipelineCache(tmp_path / "cache")
         first = track_windows(toy_trace, n_windows=5, cache=cache)
         obs.reset()
+
+        def no_clustering(*args, **kwargs):
+            raise AssertionError("a replayed window was clustered")
+
+        monkeypatch.setattr("repro.stream.pipeline.make_frame", no_clustering)
         replayed = []
         second = track_windows(
             toy_trace, n_windows=5, cache=cache, on_update=replayed.append
@@ -130,7 +138,7 @@ class TestResume:
         assert counter("stream.windows_resumed") == 5
         assert counter("stream.updates_total") == 0
         assert histogram_count("stream.update_seconds") == 0
-        assert counter("cache.miss") == 0  # no frame rebuilt
+        assert counter("cache.misses_total") == 0  # no frame rebuilt
         assert replayed == []  # on_update only fires for live pushes
         assert first.regions == second.regions
         assert [p.relations for p in first.pair_relations] == [
@@ -144,22 +152,23 @@ class TestResume:
         counter, histogram_count = metrics
         cache = PipelineCache(tmp_path / "cache")
         full = track_windows(toy_trace, n_windows=5, cache=cache)
-        # Truncate the checkpoint to its first three windows, simulating
-        # a watch killed mid-stream.
+        # Drop the entries of windows 3-4, simulating a watch killed
+        # after its third window.
+        spec, windows = slice_trace(toy_trace, n_windows=5)
         key = stream_key(
             toy_trace,
-            slice_trace(toy_trace, n_windows=5)[0].as_dict(),
+            spec.as_dict(),
             FrameSettings(),
             TrackerConfig(),
             strict=True,
         )
-        records = load_checkpoint(cache, key)
-        assert records is not None and len(records) == 5
-        save_checkpoint(cache, key, records[:3])
+        assert all(load_checkpoint(cache, key, w) is not None for w in range(5))
+        for window in (3, 4):
+            cache.invalidate(window_key(key, window))
         obs.reset()
         resumed = track_windows(toy_trace, n_windows=5, cache=cache)
-        alive_resumed = sum(1 for r in records[:3] if r.status == "ok")
-        alive_live = sum(1 for r in records[3:] if r.status == "ok")
+        alive_resumed = sum(1 for w in windows[:3] if w.n_bursts)
+        alive_live = sum(1 for w in windows[3:] if w.n_bursts)
         assert counter("stream.windows_resumed") == alive_resumed
         assert counter("stream.updates_total") == alive_live
         assert resumed.regions == full.regions
@@ -174,10 +183,32 @@ class TestResume:
             TrackerConfig(),
             strict=True,
         )
-        cache.put(key, {"format": 999, "windows": "garbage"})
+        cache.put(window_key(key, 0), {"format": 999, "windows": "garbage"})
         result = track_windows(toy_trace, n_windows=4, cache=cache)
         assert counter("stream.windows_resumed") == 0
         assert result.regions
+
+    def test_checkpoint_write_does_not_grow_with_the_stream(
+        self, tmp_path, monkeypatch
+    ):
+        """A window's checkpoint write holds that window only: the last
+        window of a 20-window stream writes about what the second does."""
+        sizes = []
+        put = PipelineCache.put
+
+        def recording_put(self, key, payload):
+            path = put(self, key, payload)
+            if key["kind"] == "stream":
+                sizes.append(path.stat().st_size)
+            return path
+
+        monkeypatch.setattr(PipelineCache, "put", recording_put)
+        trace = wrf.build(ranks=16, iterations=30).run(seed=0)
+        track_windows(
+            trace, n_windows=20, cache=PipelineCache(tmp_path / "cache")
+        )
+        assert len(sizes) == 20
+        assert sizes[-1] <= 1.5 * sizes[1]
 
 
 class TestQuarantinedWindows:

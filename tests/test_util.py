@@ -7,6 +7,7 @@ import pytest
 
 from repro._util import (
     as_rng,
+    atomic_write,
     check_fraction,
     check_nonempty,
     check_positive,
@@ -71,3 +72,19 @@ class TestFormatting:
     def test_pct(self):
         assert format_pct(-0.36) == "-36.0%"
         assert format_pct(0.05) == "+5.0%"
+
+
+class TestAtomicWrite:
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "sub" / "result.json"
+        atomic_write(path, "old")
+        assert path.read_text(encoding="utf-8") == "old"
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr("repro._util.os.replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            atomic_write(path, "new")
+        assert path.read_text(encoding="utf-8") == "old"
+        assert [p.name for p in path.parent.iterdir()] == ["result.json"]
