@@ -42,14 +42,15 @@ The grid engine buckets points into cells of width ``eps/sqrt(d)``
 within ``eps`` of each other, so a cell with ``>= min_pts`` members is
 a clique of core points and needs no counting at all.  Remaining
 counts come from a single ``query_ball_point(..., return_length=True)``
-pass — no neighbour lists are ever materialised.  Components are found
-on the tiny *cell* graph (two cells connect iff some core pair across
-them is within ``eps``), and border claims reduce to one ball query
-per cluster in label order.
+pass.  Components are found on the tiny *cell* graph (two cells
+connect iff some core pair across them is within ``eps``), decided by
+batched nearest-neighbour queries, and border points take the smallest
+label among their core neighbours in one ball query.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -74,6 +75,9 @@ _CELL_MARGIN = 1.0 - 1e-12
 #: Relative slack applied to the bounding-box distance screens; pairs
 #: inside the slack band fall through to scipy's own ball predicate.
 _BBOX_SLACK = 1e-9
+
+#: Query points, or listed neighbours, per batched query; bounds memory.
+_QUERY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,7 +198,6 @@ class _Grid:
     def __init__(self, points: np.ndarray, eps: float) -> None:
         n, d = points.shape
         self.points = points
-        self.eps = eps
         self.width = eps * _CELL_MARGIN / np.sqrt(d)
         # Offsets whose cells could hold a point within eps: per-dim
         # gap between cells at offset k is (|k|-1) widths.
@@ -224,18 +227,14 @@ class _Grid:
         grids = np.meshgrid(
             *([np.arange(-self.radius, self.radius + 1)] * d), indexing="ij"
         )
+        # Keep one representative per unordered pair (the half after the
+        # zero offset, which is lexicographically positive) and drop
+        # those whose minimum point-to-point distance exceeds eps.
         offsets = np.stack([g.ravel() for g in grids], axis=1)
-        # Keep one representative per unordered pair (lexicographically
-        # positive offsets) and drop those whose minimum possible
-        # point-to-point distance already exceeds eps.
-        positive = np.zeros(len(offsets), dtype=bool)
-        undecided = np.ones(len(offsets), dtype=bool)
-        for k in range(d):
-            positive |= undecided & (offsets[:, k] > 0)
-            undecided &= offsets[:, k] == 0
+        offsets = offsets[len(offsets) // 2 + 1:]
         gap = np.maximum(np.abs(offsets) - 1, 0) * self.width
         reachable = np.sqrt((gap * gap).sum(axis=1)) <= eps * (1 + _BBOX_SLACK)
-        self.offsets = offsets[positive & reachable]
+        self.offsets = offsets[reachable]
 
 
 def _rank_components(comp: np.ndarray, n_comp: int, core_idx: np.ndarray) -> np.ndarray:
@@ -344,7 +343,7 @@ class DBSCAN:
         rank = _rank_components(comp_pt, int(comp.max()) + 1, core_idx)
         labels[core_idx] = rank[comp_pt]
 
-        self._claim_borders(grid, labels, core_mask, int(rank.max()))
+        self._claim_borders(grid, labels, core_mask)
         return labels
 
     def _cell_components(
@@ -359,81 +358,85 @@ class DBSCAN:
 
         Exact: core points inside one cell are a clique, so the core
         adjacency graph and this cell graph have identical components.
+        All core points share one tree, lifted by an extra coordinate
+        ``cell index * 8 eps``, so a query lifted to a cell's level and
+        bounded by ``4 eps`` reaches only that cell, at exact distances.
+        A probe links most cell pairs: the point of one cell nearest the
+        centre of the other's box (paired cells' points are under
+        ``3 eps`` apart), then its nearest point in the other cell.  The
+        rest take the closest pair over the smaller cell's points.  Only
+        a distance in the rounding band around eps goes to scipy's own
+        ball predicate, so boundary rounding matches the reference run.
         """
         n_cells = len(cells)
         if n_cells == 1:
             return np.zeros(1, dtype=np.int64)
         core_pts = grid.points[grouped]
-        ends = starts + counts
+        inner = self.eps * (1 - _BBOX_SLACK)
+        outer = self.eps * (1 + _BBOX_SLACK)
         # Per-cell bounding boxes of the core points, for the distance
-        # screens below.
+        # screen and the probes below.
         box_min = np.minimum.reduceat(core_pts, starts, axis=0)
         box_max = np.maximum.reduceat(core_pts, starts, axis=0)
 
         cell_keys = grid.keys[cells]
-        edges_a: list[np.ndarray] = []
-        edges_b: list[np.ndarray] = []
-        eps = self.eps
-        lo_cut = eps * (1 + _BBOX_SLACK)
-        hi_cut = eps * (1 - _BBOX_SLACK)
-        trees: dict[int, cKDTree] = {}
+        pairs_a: list[np.ndarray] = []
+        pairs_b: list[np.ndarray] = []
         for offset in grid.offsets:
             shift = int(offset @ grid.strides)
             pos = np.searchsorted(cell_keys, cell_keys + shift)
             pos = np.clip(pos, 0, n_cells - 1)
             src = np.flatnonzero(cell_keys[pos] == cell_keys + shift)
-            if not src.size:
-                continue
             dst = pos[src]
-            # Screen 1: boxes further apart than eps cannot connect.
+            # Boxes further apart than eps cannot connect.
             gap = np.maximum(
                 np.maximum(box_min[dst] - box_max[src],
                            box_min[src] - box_max[dst]),
                 0.0,
             )
-            near = np.sqrt((gap * gap).sum(axis=1)) <= lo_cut
-            src, dst = src[near], dst[near]
-            if not src.size:
-                continue
-            # Screen 2: boxes whose farthest corners are inside eps
-            # always connect.
-            span = np.maximum(box_max[dst], box_max[src]) - np.minimum(
-                box_min[dst], box_min[src]
-            )
-            sure = np.sqrt((span * span).sum(axis=1)) <= hi_cut
-            edges_a.append(src[sure])
-            edges_b.append(dst[sure])
-            # The borderline remainder gets scipy's own ball predicate,
-            # so boundary-distance rounding matches the reference run.
-            for a, b in zip(src[~sure], dst[~sure]):
-                tree = trees.get(a)
-                if tree is None:
-                    tree = trees[a] = cKDTree(core_pts[starts[a]:ends[a]])
-                hits = tree.query_ball_point(
-                    core_pts[starts[b]:ends[b]], eps, return_length=True
-                )
-                if hits.any():
-                    edges_a.append(np.array([a]))
-                    edges_b.append(np.array([b]))
+            near = np.sqrt((gap * gap).sum(axis=1)) <= outer
+            pairs_a.append(src[near])
+            pairs_b.append(dst[near])
+        a = np.concatenate(pairs_a)
+        b = np.concatenate(pairs_b)
+        swap = counts[a] > counts[b]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
 
-        if edges_a:
-            row = np.concatenate(edges_a)
-            col = np.concatenate(edges_b)
-        else:
-            row = col = np.zeros(0, dtype=np.int64)
+        lift = np.arange(n_cells) * (8 * self.eps)
+        tree = cKDTree(np.column_stack([core_pts, np.repeat(lift, counts)]))
+
+        def nearest(points: np.ndarray, cell_ids: np.ndarray, bound: float):
+            lifted = np.column_stack([points, lift[cell_ids]])
+            return tree.query(lifted, k=1, distance_upper_bound=bound)
+
+        _, probe = nearest((box_min[b] + box_max[b]) / 2, a, 4 * self.eps)
+        closest, _ = nearest(core_pts[probe], b, outer)
+        rest = np.flatnonzero(closest > inner)
+        block = (np.cumsum(counts[a[rest]]) - 1) // _QUERY_BLOCK
+        for sel in np.split(rest, np.flatnonzero(np.diff(block)) + 1):
+            sizes = counts[a[sel]]
+            first = np.cumsum(sizes) - sizes
+            rows = np.repeat(starts[a[sel]] - first, sizes) + np.arange(sizes.sum())
+            dist, _ = nearest(core_pts[rows], np.repeat(b[sel], sizes), outer)
+            closest[sel] = np.minimum.reduceat(dist, first)
+
+        linked = closest <= inner
+        for i in np.flatnonzero(~linked & (closest <= outer)):
+            cell_a = core_pts[starts[a[i]]:starts[a[i]] + counts[a[i]]]
+            cell_b = core_pts[starts[b[i]]:starts[b[i]] + counts[b[i]]]
+            linked[i] = cKDTree(cell_a).query_ball_point(
+                cell_b, self.eps, return_length=True
+            ).any()
+
         graph = coo_matrix(
-            (np.ones(len(row), dtype=np.int8), (row, col)),
+            (np.ones(int(linked.sum()), dtype=np.int8), (a[linked], b[linked])),
             shape=(n_cells, n_cells),
         )
         _, comp = connected_components(graph, directed=False)
         return comp
 
     def _claim_borders(
-        self,
-        grid: _Grid,
-        labels: np.ndarray,
-        core_mask: np.ndarray,
-        n_clusters: int,
+        self, grid: _Grid, labels: np.ndarray, core_mask: np.ndarray
     ) -> None:
         """Assign border points: smallest label among core eps-neighbours.
 
@@ -444,17 +447,14 @@ class DBSCAN:
         if not noncore_idx.size:
             return
         core_idx = np.flatnonzero(core_mask)
-        near_core = cKDTree(grid.points[core_idx]).query_ball_point(
-            grid.points[noncore_idx], self.eps, workers=-1, return_length=True
-        )
-        remaining = noncore_idx[near_core > 0]
-        for label in range(1, n_clusters + 1):
-            if not remaining.size:
-                return
-            members = core_idx[labels[core_idx] == label]
-            claimed = cKDTree(grid.points[members]).query_ball_point(
-                grid.points[remaining], self.eps, workers=-1,
-                return_length=True,
-            ) > 0
-            labels[remaining[claimed]] = label
-            remaining = remaining[~claimed]
+        tree = cKDTree(grid.points[core_idx])
+        # A non-core point has fewer than min_pts neighbours, so a chunk
+        # of this many lists fewer than _QUERY_BLOCK of them.
+        step = max(1, _QUERY_BLOCK // self.min_pts)
+        for chunk in np.split(noncore_idx, np.arange(step, len(noncore_idx), step)):
+            neighbours = tree.query_ball_point(grid.points[chunk], self.eps)
+            sizes = np.fromiter(map(len, neighbours), dtype=np.intp, count=len(chunk))
+            flat = np.fromiter(itertools.chain.from_iterable(neighbours), dtype=np.intp)
+            claimed = sizes > 0
+            first = (np.cumsum(sizes) - sizes)[claimed]
+            labels[chunk[claimed]] = np.minimum.reduceat(labels[core_idx[flat]], first)

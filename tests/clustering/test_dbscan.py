@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clustering.dbscan import DBSCAN, NOISE
+from repro.clustering.dbscan import DBSCAN, NOISE, dbscan_reference
 from repro.errors import ClusteringError
 
 
@@ -61,6 +61,47 @@ class TestDBSCAN:
         result = DBSCAN(eps=0.0105, min_pts=10).fit(points)
         assert result.labels[-1] == result.labels[0]
         assert not result.core_mask[-1]
+
+    @pytest.mark.parametrize("first", ["left", "right"])
+    def test_border_point_between_two_clusters_takes_smaller_label(self, first):
+        # A non-core point within eps of one core point of each of two
+        # clusters joins the cluster discovered first, whichever blob
+        # holds index 0; a point beyond eps of every core point stays
+        # noise.
+        left = np.column_stack([np.arange(6) * 0.01, np.zeros(6)])
+        right = left + [0.20, 0.0]
+        pair = [left, right] if first == "left" else [right, left]
+        points = np.vstack(pair + [[[0.125, 0.0]], [[0.125, 0.5]]])
+        eps, min_pts = 0.08, 4
+        result = DBSCAN(eps=eps, min_pts=min_pts).fit(points)
+        assert result.n_clusters == 2
+        assert not result.core_mask[-2]
+        assert result.labels[-2] == result.labels[0] == 1
+        assert result.labels[-1] == NOISE
+        reference = dbscan_reference(points, eps, min_pts)
+        np.testing.assert_array_equal(result.labels, reference.labels)
+
+    def test_cells_joined_by_a_pair_away_from_their_centres(self):
+        # Two grid cells of two points each.  The one cross pair within
+        # eps does not include the point nearest the other cell's
+        # centre, so a nearest-to-centre probe alone misses it.
+        points = np.asarray([[1.94, 2.09], [1.72, 1.94], [2.18, 0.74], [2.60, 1.34]])
+        result = DBSCAN(eps=1.0, min_pts=1).fit(points)
+        assert result.n_clusters == 1
+        np.testing.assert_array_equal(
+            result.labels, dbscan_reference(points, 1.0, 1).labels
+        )
+
+    @pytest.mark.parametrize("distance, n_clusters", [(1 - 1e-12, 1), (1 + 1e-12, 2)])
+    def test_pair_inside_the_rounding_band(self, distance, n_clusters):
+        # Core points a hair inside or outside eps: scipy's ball
+        # predicate decides, as in the reference.
+        points = np.asarray([[0.0, 0.0], [distance, 0.0]])
+        result = DBSCAN(eps=1.0, min_pts=1).fit(points)
+        assert result.n_clusters == n_clusters
+        np.testing.assert_array_equal(
+            result.labels, dbscan_reference(points, 1.0, 1).labels
+        )
 
     def test_empty_input(self):
         result = DBSCAN(eps=0.1, min_pts=3).fit(np.empty((0, 2)))
@@ -171,3 +212,50 @@ class TestTraversalOrderInvariance:
         np.testing.assert_array_equal(
             result.labels, _reference_dfs_labels(points, eps, min_pts)
         )
+
+
+@pytest.fixture(scope="module")
+def frame_spaces():
+    """The scaled spaces, with ``min_pts``, that ``make_frame`` hands DBSCAN.
+
+    WRF at 32 and 64 ranks scaled from 32 (2,304 and 4,608 bursts, the
+    frames of a rank-doubling study) and one 32-rank iteration (384
+    bursts, one window of a watched stream).
+    """
+    from repro.apps import wrf
+    from repro.clustering import frames
+
+    spaces = []
+
+    class Recording(DBSCAN):
+        def fit(self, points):
+            spaces.append((np.array(points), self.min_pts))
+            return super().fit(points)
+
+    shapes = {"wrf32": (32, 6), "wrf64": (64, 6), "window": (32, 1)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frames, "DBSCAN", Recording)
+        for seed, (ranks, iterations) in enumerate(shapes.values()):
+            trace = wrf.build(ranks, iterations=iterations, base_ranks=32).run(seed=seed)
+            frames.make_frame(trace)
+    return dict(zip(shapes, spaces))
+
+
+class TestFrameScaleDifferential:
+    """The engine against the reference on whole frames.
+
+    The property suite draws at most 60 points, so none of its cells
+    holds more than a few core points; these frames hold up to a few
+    hundred per cell.
+    """
+
+    @pytest.mark.parametrize("eps", [0.01, 0.03, 0.12])
+    @pytest.mark.parametrize("name", ["wrf32", "wrf64", "window"])
+    def test_matches_reference(self, frame_spaces, name, eps):
+        points, min_pts = frame_spaces[name]
+        assert len(points) == {"wrf32": 2304, "wrf64": 4608, "window": 384}[name]
+        fast = DBSCAN(eps=eps, min_pts=min_pts).fit(points)
+        reference = dbscan_reference(points, eps, min_pts)
+        np.testing.assert_array_equal(fast.labels, reference.labels)
+        np.testing.assert_array_equal(fast.core_mask, reference.core_mask)
+        assert fast.n_clusters == reference.n_clusters
