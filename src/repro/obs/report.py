@@ -31,9 +31,13 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from repro._version import __version__
 from repro.obs.alerts import AlertTotals, summarize_alerts
 from repro.obs.core import STATE
-from repro.obs.export import render_tree
+from repro.obs.export import render_metrics, render_tree
 from repro.obs.metrics import metrics_snapshot
 from repro.obs.quality import QualityReport, quality_report
+from repro.tracking.relabel import relabel_frames
+from repro.tracking.trends import compute_trends
+from repro.viz.frames_plot import sequence_canvas
+from repro.viz.trend_plot import trends_canvas
 
 if TYPE_CHECKING:
     from repro.robust.partial import ItemFailure
@@ -335,11 +339,6 @@ def _quarantine_block(quality: QualityReport) -> str:
 
 def _run_svgs(result: "TrackingResult") -> list[tuple[str, str]]:
     """Inline SVG figures of one run (skipped when undrawable)."""
-    from repro.tracking.relabel import relabel_frames
-    from repro.tracking.trends import compute_trends
-    from repro.viz.frames_plot import sequence_canvas
-    from repro.viz.trend_plot import trends_canvas
-
     figures: list[tuple[str, str]] = []
     try:
         canvas = sequence_canvas(relabel_frames(result))
@@ -543,8 +542,6 @@ def _observability_section() -> str:
             "with <code>REPRO_OBS=1</code> or <code>--profile</code> to "
             "capture the stage-time tree.</p>"
         )
-    from repro.obs.export import render_metrics
-
     tree = render_tree()
     metrics = render_metrics()
     block = f"<h2>Observability</h2><pre>{_esc(tree)}</pre>"

@@ -129,11 +129,15 @@ class JobClient:
     ) -> dict[str, Any]:
         """Poll until the job is terminal; returns the final status.
 
+        The first pause is 20 ms and each next one doubles, up to
+        *poll_s*, so a short job is seen soon after it ends.
+
         Raises :class:`ServeError` if *timeout* elapses first — a job
         the server accepted but never finished is a server bug, and
         tests want it loud.
         """
         deadline = time.monotonic() + timeout
+        pause = 0.02
         while True:
             record = self.status(job_id)
             if record.get("state") in ("done", "failed", "cancelled"):
@@ -143,4 +147,5 @@ class JobClient:
                     f"job {job_id} still {record.get('state')!r} after "
                     f"{timeout:g}s"
                 )
-            time.sleep(poll_s)
+            time.sleep(min(pause, poll_s))
+            pause *= 2

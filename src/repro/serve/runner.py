@@ -5,8 +5,8 @@
 child process, so a crash, hang or SIGKILL takes down only that job.
 It rebuilds the :class:`~repro.serve.spec.JobSpec`, simulates the
 requested traces, runs the batch or streaming pipeline against the
-tenant's namespaced cache, and writes two artefacts atomically into the
-tenant's results tree:
+tenant's namespaced cache, and writes two artefacts into the tenant's
+results tree:
 
 ``result.json``
     The canonical result payload (schema ``repro.serve.result/1``):
@@ -16,9 +16,16 @@ tenant's results tree:
     minimal separators, the payload is *byte-stable*: the same spec
     always yields the same bytes, which is what the differential suite
     compares against direct :func:`repro.quick_track` /
-    :func:`repro.stream.track_windows` runs.
+    :func:`repro.stream.track_windows` runs.  Written atomically.
 ``report.html``
-    The self-contained HTML run report (``repro.obs.report``).
+    The self-contained HTML run report (``repro.obs.report``), written
+    in place by ``Path.write_text``; the server serves it only once the
+    job is ``done``, so an API client never sees it half written.
+
+What a job runs is imported at module level here and in
+:mod:`repro.obs.report` (the rest comes with ``import repro``), so the
+server holds it before it forks a worker, and a worker pays only for
+its own job.
 
 The returned summary dict becomes the job's ``summary`` field in status
 payloads.  The worker also exports ``REPRO_LEDGER`` pointing at the
@@ -35,7 +42,18 @@ import time
 from typing import Any, Mapping
 
 from repro._util import atomic_write
+from repro.api import quick_track
+from repro.apps.registry import build_app
+from repro.obs.ledger import LEDGER_ENV
+from repro.obs.quality import quality_report
+from repro.obs.report import write_report
+from repro.parallel.cache import PipelineCache
+from repro.robust.partial import PartialResult
 from repro.serve.spec import JobSpec
+from repro.serve.tenancy import TenantPaths
+from repro.stream.checkpoint import pair_relations_to_json
+from repro.stream.pipeline import track_windows
+from repro.tracking.relabel import relabel_frames
 
 __all__ = [
     "RESULT_SCHEMA",
@@ -52,8 +70,6 @@ RESULT_SCHEMA = "repro.serve.result/1"
 
 def build_traces(spec: JobSpec) -> list:
     """Simulate one trace per (scenario, seed) pair, in order."""
-    from repro.apps.registry import build_app
-
     return [
         build_app(spec.app, **scenario).run(seed=seed)
         for scenario, seed in zip(spec.scenarios, spec.seeds)
@@ -67,14 +83,10 @@ def execute_spec(spec: JobSpec, cache=None):
     :class:`~repro.tracking.tracker.TrackingResult`; a non-strict run's
     quarantine records come back in ``failures``.
     """
-    from repro.robust.partial import PartialResult
-
     traces = build_traces(spec)
     settings = spec.frame_settings()
     config = spec.tracker_config()
     if spec.kind == "watch":
-        from repro.stream.pipeline import track_windows
-
         outcome = track_windows(
             traces[0],
             n_windows=spec.windows,
@@ -86,8 +98,6 @@ def execute_spec(spec: JobSpec, cache=None):
             jobs=spec.jobs or None,
         )
     else:
-        from repro.api import quick_track
-
         outcome = quick_track(
             traces,
             settings=settings,
@@ -108,10 +118,6 @@ def result_payload(spec: JobSpec, result, failures=()) -> dict[str, Any]:
     exactly — so two bit-identical results serialise to identical
     bytes, and the differential suite can ``==`` whole payloads.
     """
-    from repro.obs.quality import quality_report
-    from repro.stream.checkpoint import pair_relations_to_json
-    from repro.tracking.relabel import relabel_frames
-
     quality = quality_report(result, failures=failures).to_dict()
     # Byte-stability must not depend on ambient observability state:
     # repaired_bursts reads the obs registry and is None with obs off
@@ -159,10 +165,6 @@ def run_job(task: Mapping[str, Any]) -> dict[str, Any]:
     the canonical ``spec`` dict.  Returns the summary dict the queue
     stores on the job record.
     """
-    from repro.obs.ledger import LEDGER_ENV
-    from repro.parallel.cache import PipelineCache
-    from repro.serve.tenancy import TenantPaths
-
     paths = TenantPaths(task["root"], str(task["tenant"])).ensure()
     job_id = str(task["job_id"])
     # Pidfile first: fault-injection tests (and operators) can target
@@ -179,8 +181,6 @@ def run_job(task: Mapping[str, Any]) -> dict[str, Any]:
         payload = result_payload(spec, result, failures)
         result_path = paths.result_path(job_id)
         atomic_write(result_path, canonical_json(payload))
-        from repro.obs.report import write_report
-
         report_path = paths.report_path(job_id)
         report_path.parent.mkdir(parents=True, exist_ok=True)
         write_report(

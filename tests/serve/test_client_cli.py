@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import main
+from repro.errors import ServeError
 from repro.serve import JobClient, JobServer
+from repro.serve import client as client_module
 
 FAST_SPEC = {
     "kind": "track",
@@ -126,3 +129,30 @@ def test_serve_port_in_use_exits_1(server, tmp_path, capsys):
     )
     assert code == 1
     assert "cannot serve jobs" in capsys.readouterr().err
+
+
+def test_wait_backs_off_from_20ms_up_to_poll_s(monkeypatch):
+    """Polls start 20 ms apart and the pause doubles up to poll_s; a
+    job that never ends still raises at the deadline."""
+    clock = [0.0]
+    sleeps = []
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        clock[0] += seconds
+
+    monkeypatch.setattr(
+        client_module, "time",
+        SimpleNamespace(monotonic=lambda: clock[0], sleep=sleep),
+    )
+    client = JobClient("http://127.0.0.1:1")
+    monkeypatch.setattr(client, "status", lambda job_id: {"state": "running"})
+    with pytest.raises(ServeError, match="still 'running'"):
+        client.wait("job", timeout=0.65, poll_s=0.2)
+    assert sleeps == pytest.approx([0.02, 0.04, 0.08, 0.16, 0.2, 0.2])
+
+    states = iter(["submitted", "running", "done"])
+    monkeypatch.setattr(client, "status", lambda job_id: {"state": next(states)})
+    sleeps.clear()
+    assert client.wait("job")["state"] == "done"
+    assert sleeps == pytest.approx([0.02, 0.04])
