@@ -17,7 +17,6 @@ from repro.apps.base import AppModel
 from repro.apps.registry import build_app
 from repro.clustering.frames import FrameSettings
 from repro.errors import ReproError, StudyError
-from repro.parallel.executor import pmap
 from repro.robust.partial import ItemFailure, PartialResult, quarantine
 from repro.tracking.tracker import TrackerConfig, TrackingResult, tracking_config
 from repro.tracking.trends import TrendSeries, compute_trends
@@ -32,7 +31,7 @@ __all__ = ["ParametricStudy", "StudyResult"]
 def _simulate_task(
     task: tuple[str, dict[str, Any], int, bool]
 ) -> Trace | ItemFailure:
-    """Worker-side task: simulate one scenario (module-level for pickling).
+    """Simulate one scenario.
 
     A strict task lets a :class:`~repro.errors.ReproError` propagate; a
     non-strict one returns it as an :class:`ItemFailure`.
@@ -116,52 +115,36 @@ class ParametricStudy:
         self,
         *,
         seed: int,
-        jobs: int | None,
         cache: "PipelineCache | None",
         strict: bool = True,
     ) -> tuple[list[Trace | None], list[ItemFailure]]:
         """Simulate every scenario, using the trace cache when given.
 
-        Cache hits are resolved up front; only the misses are fanned
-        out through :func:`repro.parallel.executor.pmap`, then stored.
-        Output order always matches the scenario order.  Under
-        ``strict=False`` a scenario whose simulation raises a
+        Scenarios run in-process, in order; a cache hit skips the
+        simulation and a miss is stored.  Under ``strict=False`` a
+        scenario whose simulation raises a
         :class:`~repro.errors.ReproError` is quarantined: its slot in
         the trace list is ``None`` and an :class:`ItemFailure` records
         what happened.
         """
         from repro.parallel.cache import trace_key
 
-        tasks = [
-            (self.app, dict(scenario), seed + index)
-            for index, scenario in enumerate(self.scenarios)
-        ]
-        traces: list[Trace | None] = [None] * len(tasks)
-        keys: list[dict | None] = [None] * len(tasks)
+        traces: list[Trace | None] = [None] * len(self.scenarios)
         failures: list[ItemFailure] = []
-        pending: list[int] = []
-        for index, task in enumerate(tasks):
+        for index, scenario in enumerate(self.scenarios):
+            task = (self.app, dict(scenario), seed + index)
             if cache is not None:
-                keys[index] = trace_key(*task)
-                cached = cache.get_trace(keys[index])
-                if cached is not None:
-                    traces[index] = cached
+                key = trace_key(*task)
+                traces[index] = cache.get_trace(key)
+                if traces[index] is not None:
                     continue
-            pending.append(index)
-        if pending:
-            simulated = pmap(
-                _simulate_task,
-                [(*tasks[index], strict) for index in pending],
-                jobs=jobs,
-                label="study.simulate.pmap",
-            )
-            for index, trace in zip(pending, simulated):
-                if isinstance(trace, ItemFailure):
-                    failures.append(quarantine(trace))
-                    continue
-                traces[index] = trace
-                if cache is not None:
-                    cache.put_trace(keys[index], trace)
+            trace = _simulate_task((*task, strict))
+            if isinstance(trace, ItemFailure):
+                failures.append(quarantine(trace))
+                continue
+            traces[index] = trace
+            if cache is not None:
+                cache.put_trace(key, trace)
         return traces, failures
 
     def run(
@@ -182,10 +165,10 @@ class ParametricStudy:
         seed:
             Base seed; scenario *i* runs with ``seed + i``.
         jobs:
-            Worker count for the parallel stages (scenario simulation
-            and per-trace frame construction); pairs are tracked
-            in-process.  ``None`` defers to ``REPRO_JOBS``; results are
-            bit-identical to a serial run.
+            Worker count for per-trace frame construction; scenarios
+            are simulated and pairs tracked in-process.  ``None``
+            defers to ``REPRO_JOBS``; results are bit-identical to a
+            serial run.
         cache:
             Optional :class:`repro.parallel.cache.PipelineCache` making
             the simulate and cluster stages incremental across runs.
@@ -212,7 +195,7 @@ class ParametricStudy:
         ):
             with obs.span("study.simulate"):
                 slots, failures = self._simulate(
-                    seed=seed, jobs=jobs, cache=cache, strict=strict
+                    seed=seed, cache=cache, strict=strict
                 )
                 traces = [trace for trace in slots if trace is not None]
                 if self.trace_hook is not None:

@@ -13,13 +13,11 @@ its trace into the per-interval traces that become frames.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.apps._generic import simple_region
 from repro.apps.base import AppModel
 from repro.errors import ModelError
 from repro.machine.machine import MARENOSTRUM, Machine
-from repro.trace.filters import filter_time_window
+from repro.stream.window import slice_trace
 from repro.trace.trace import Trace
 
 __all__ = ["build", "window_traces"]
@@ -63,20 +61,12 @@ def build(
 def window_traces(trace: Trace, n_windows: int = 15) -> list[Trace]:
     """Slice one long trace into *n_windows* equal time intervals.
 
-    Each slice keeps the full metadata plus a ``window`` scenario key,
-    so downstream frames are labelled by interval.
+    The windows of :func:`repro.stream.window.slice_trace`: each keeps
+    the full metadata plus a ``window`` scenario key, so downstream
+    frames are labelled by interval.
     """
     if n_windows < 1:
         raise ModelError(f"n_windows must be >= 1, got {n_windows}")
     if trace.n_bursts == 0:
         raise ModelError("cannot window an empty trace")
-    start = float(trace.begin.min())
-    end = float(trace.end.max())
-    edges = np.linspace(start, end, n_windows + 1)
-    windows: list[Trace] = []
-    for index in range(n_windows):
-        hi = edges[index + 1] if index < n_windows - 1 else end + 1.0
-        piece = filter_time_window(trace, edges[index], hi)
-        piece.scenario["window"] = index
-        windows.append(piece)
-    return windows
+    return slice_trace(trace, n_windows=n_windows)[1]

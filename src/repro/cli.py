@@ -25,8 +25,8 @@ Sub-commands
 ``info``
     List registered applications, machines and case studies.
 
-``track``, ``study`` and ``table2`` accept ``--jobs/-j`` (parallel
-pipeline stages), ``--cache-dir`` (incremental trace/frame cache),
+``track``, ``study`` and ``table2`` accept ``--jobs/-j`` (processes
+building frames), ``--cache-dir`` (incremental trace/frame cache),
 ``--strict/--no-strict`` (fail fast vs quarantine-and-continue; see
 ``docs/robustness.md``) and ``--report PATH`` (self-contained HTML/JSON
 run report; see ``docs/reports.md``).  ``report`` honours
@@ -85,7 +85,7 @@ def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for the parallel pipeline stages "
+        help="worker processes building frames "
         "(default: REPRO_JOBS or 1; 0 = one per CPU); results are "
         "identical to a serial run",
     )
@@ -285,11 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="pipeline cache enabling per-window frame reuse and "
         "checkpointed resume (default: REPRO_CACHE; unset = no resume)",
-    )
-    watch.add_argument(
-        "-j", "--jobs", type=int, default=None, metavar="N",
-        help="prefetch window cluster labels with N worker processes "
-        "before the serial tracking pass (default: REPRO_JOBS or serial)",
     )
     watch.add_argument(
         "--max-live-windows", type=int, default=None, metavar="K",
@@ -733,7 +728,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             cache=_resolve_cache(args),
             on_update=on_update,
             telemetry=telemetry,
-            jobs=args.jobs,
             max_live_windows=args.max_live_windows,
         ))
         _annotate_watch_quality(result, failures, telemetry)

@@ -1,12 +1,12 @@
 """Executor abstraction: deterministic, ordered parallel mapping.
 
-Two of the pipeline's dominant stages are embarrassingly parallel —
-per scenario (simulation) and per trace or watch window (frame
-construction).  This module provides the one primitive they share:
-:func:`pmap`, an *ordered* map that runs tasks either in-process
-(``serial`` backend) or across worker processes (``process`` backend
-over :mod:`concurrent.futures`).  Pair tracking stays in-process: a
-tracking pass is too short for a pool to pay for its startup.
+One pipeline stage fans out over processes: building a batch's
+frames, one trace per task (:func:`repro.clustering.frames.make_frames`).
+This module provides its primitive, :func:`pmap`, an *ordered* map
+that runs tasks either in-process (``serial`` backend) or across
+worker processes (``process`` backend over
+:mod:`concurrent.futures`).  Simulation, pair tracking and a watch's
+windows stay in-process: none measured consistently faster on a pool.
 
 Guarantees:
 
@@ -20,7 +20,7 @@ Guarantees:
   are not swallowed; they propagate as in a serial run.
 - **Auto-selection** — the process backend is only engaged when it can
   pay for itself: more than one job requested and at least
-  ``min_tasks`` items to spread.
+  :data:`MIN_TASKS` items to spread.
 
 Worker count resolution order: explicit ``jobs`` argument, then the
 ``REPRO_JOBS`` environment variable, then 1 (serial).  ``0``, negative
@@ -62,7 +62,7 @@ R = TypeVar("R")
 JOBS_ENV = "REPRO_JOBS"
 
 #: Below this many tasks a process pool cannot amortise its startup.
-DEFAULT_MIN_TASKS = 2
+MIN_TASKS = 2
 
 #: Errors that mean "the pool is unusable", as opposed to errors raised
 #: by the mapped function itself (which must propagate unchanged).
@@ -384,19 +384,16 @@ Executor = SerialExecutor | ProcessExecutor
 
 
 def get_executor(
-    jobs: int | None = None,
-    *,
-    n_tasks: int | None = None,
-    min_tasks: int = DEFAULT_MIN_TASKS,
+    jobs: int | None = None, *, n_tasks: int | None = None
 ) -> Executor:
     """Pick a backend for *n_tasks* tasks at the resolved job count.
 
     Serial is chosen whenever it is at least as good: one job, or fewer
-    tasks than *min_tasks* (a pool cannot amortise its startup on a
-    single task).
+    tasks than :data:`MIN_TASKS` (a pool cannot amortise its startup on
+    a single task).
     """
     resolved = resolve_jobs(jobs)
-    if resolved <= 1 or (n_tasks is not None and n_tasks < min_tasks):
+    if resolved <= 1 or (n_tasks is not None and n_tasks < MIN_TASKS):
         return SerialExecutor()
     return ProcessExecutor(resolved)
 
@@ -406,7 +403,6 @@ def pmap(
     items: Iterable[T],
     *,
     jobs: int | None = None,
-    min_tasks: int = DEFAULT_MIN_TASKS,
     label: str = "parallel.pmap",
 ) -> list[R]:
     """Ordered map over *items*, parallel when it pays off.
@@ -421,13 +417,11 @@ def pmap(
         Task inputs; materialised once, results match their order.
     jobs:
         Worker count; ``None`` defers to ``REPRO_JOBS`` (default 1).
-    min_tasks:
-        Minimum batch size before a pool is considered.
     label:
         Span name recorded for the batch (dispatch observability).
     """
     batch = list(items)
-    executor = get_executor(jobs, n_tasks=len(batch), min_tasks=min_tasks)
+    executor = get_executor(jobs, n_tasks=len(batch))
     if not batch:
         return []
     with obs.span(

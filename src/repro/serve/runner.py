@@ -95,7 +95,6 @@ def execute_spec(spec: JobSpec, cache=None):
             config=config,
             strict=spec.strict,
             cache=cache,
-            jobs=spec.jobs or None,
         )
     else:
         outcome = quick_track(

@@ -95,8 +95,9 @@ class JobSpec:
     windows / window_ns:
         Window specification for ``watch`` jobs (exactly one required).
     jobs:
-        Worker count for the pipeline stages *inside* the job (the
+        Worker count for a ``track`` job's frame construction (the
         usual ``--jobs`` knob; results are bit-identical to serial).
+        A ``watch`` job clusters its windows in order, in-process.
     strict:
         Fail fast (default) vs quarantine-and-continue.
     hold_s:

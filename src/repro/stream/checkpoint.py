@@ -3,10 +3,10 @@
 A streaming run with a cache stores, after every live window, one
 :class:`~repro.parallel.cache.PipelineCache` entry for that window,
 keyed by the stream key (trace digest, window spec, settings, config,
-strict, max_live, checkpoint format) plus the window's index.  The
-entry holds only what nothing else stores: the JSON form of the
-window's :class:`~repro.tracking.combine.PairRelations` (``None`` for
-the first frame) and its quarantine record.  A resumed run takes the
+strict, checkpoint format) plus the window's index.  The entry holds
+only what nothing else stores: the JSON form of the window's
+:class:`~repro.tracking.combine.PairRelations` (``None`` for the first
+frame) and its quarantine record.  A resumed run takes the
 cluster labels from the frame-label cache, the window statuses from
 its pre-check pass and the alerts from the monitor its replayed pushes
 re-feed, so a window's entry costs the same at window 500 as at
@@ -64,15 +64,14 @@ def stream_key(
     config: TrackerConfig,
     *,
     strict: bool,
-    max_live: int | None = None,
     version: str = __version__,
 ) -> dict[str, Any]:
     """Cache key of one windowed streaming run.
 
-    Every knob that shapes the run participates — including the
-    *max_live* memory bound, so a resumed run with a different
-    retention configuration starts cold instead of silently adopting a
-    checkpoint written under different settings.
+    Every knob that can change an entry participates.  The memory bound
+    (``max_live_windows``) does not: a pair is always evaluated while
+    both of its frames are live, so a bounded and an unbounded run
+    store the same entries and resume from each other's.
     """
     return {
         "kind": "stream",
@@ -81,7 +80,6 @@ def stream_key(
         "settings": _canonical(asdict(settings)),
         "config": _canonical(asdict(config)),
         "strict": bool(strict),
-        "max_live": None if max_live is None else int(max_live),
         "format": _CHECKPOINT_FORMAT,
         "version": version,
     }

@@ -46,7 +46,7 @@ from repro.obs.alerts import (
 from repro.obs.metrics import Histogram
 from repro.predict.online import OnlineTrend
 from repro.stream.window import WINDOW_KEY
-from repro.tracking.trends import frame_region_metric
+from repro.tracking.trends import frame_region_metrics
 
 __all__ = ["StreamMonitor", "WatchTelemetry", "track_key"]
 
@@ -188,10 +188,10 @@ class StreamMonitor:
                     ),
                 ))
 
-            for metric in config.metrics:
+            observed = frame_region_metrics(frame, members_now, config.metrics)
+            for metric, value in zip(config.metrics, observed):
                 alerts.extend(self._observe_metric(
-                    state, metric, frame, members_now, window, step,
-                    region.region_id,
+                    state, metric, value, window, step, region.region_id,
                 ))
 
             state.presence += 1
@@ -210,8 +210,7 @@ class StreamMonitor:
         self,
         state: _TrackState,
         metric: str,
-        frame,
-        members_now,
+        observed: float,
         window: int,
         step: int,
         region_id: int,
@@ -221,7 +220,6 @@ class StreamMonitor:
         mstate = state.metrics.get(metric)
         if mstate is None:
             mstate = state.metrics[metric] = _MetricState(config)
-        observed = frame_region_metric(frame, members_now, metric)
         alerts: list[AlertRecord] = []
 
         # Forecast before this observation enters the trend: a genuine

@@ -12,8 +12,9 @@
    survivors' raw points feed the fixed
    :class:`~repro.tracking.scaling.SpaceBounds`, which is what makes
    the incremental result bit-identical to the batch tracker's;
-3. **streaming pass** — build each surviving window's frame (honouring
-   the frame-label cache), push it into an
+3. **streaming pass** — build each surviving window's frame with
+   :func:`~repro.clustering.frames.make_frames`, the batch path's
+   frame-label cache included, as the window comes up; push it into an
    :class:`~repro.stream.incremental.IncrementalTracker`, emit a
    :class:`~repro.stream.incremental.TrackUpdate` through *on_update*,
    record per-window metrics (``stream.update_seconds`` histogram,
@@ -34,16 +35,14 @@ from repro import obs
 from repro.clustering.frames import (
     Frame,
     FrameSettings,
-    frame_from_labels,
-    make_frame,
+    make_frames,
     precheck_frame_input,
 )
-from repro.errors import ClusteringError, ReproError, TrackingError
+from repro.errors import ReproError, TrackingError
 from repro.obs import ledger as obsledger
 from repro.obs.alerts import summarize_alerts
 from repro.obs.log import get_logger
-from repro.parallel.cache import PipelineCache, frame_key
-from repro.parallel.executor import pmap, resolve_jobs
+from repro.parallel.cache import PipelineCache
 from repro.robust.partial import ItemFailure, PartialResult, quarantine
 from repro.robust.validate import validate_trace
 from repro.stream.checkpoint import (
@@ -91,64 +90,6 @@ def windowed_traces(
     return out
 
 
-def _window_frame(
-    window: Trace,
-    settings: FrameSettings,
-    cache: PipelineCache | None,
-    *,
-    labels=None,
-) -> Frame:
-    """Build one window's frame, through the frame-label cache if given.
-
-    *labels* short-circuits with a prefetched labelling (the
-    multi-process watch computes window labels ahead of the serial push
-    loop); a labelling that does not fit the window falls through to
-    the normal cache/compute path.
-    """
-    if labels is not None:
-        try:
-            return frame_from_labels(window, settings, labels)
-        except ClusteringError:
-            pass
-    key = None
-    if cache is not None:
-        key = frame_key(window, settings)
-        cached = cache.get_labels(key)
-        if cached is not None:
-            try:
-                return frame_from_labels(window, settings, cached)
-            except ClusteringError:
-                cache.invalidate(key)
-    frame = make_frame(window, settings)
-    if cache is not None:
-        cache.put_labels(key, frame.labels)
-    return frame
-
-
-def _window_labels_task(task):
-    """Worker-side task: compute (or claim) one window's cluster labels.
-
-    Work claiming goes through the shared frame-label cache: the task
-    first checks whether another worker (or an earlier run) already
-    committed this window's labels — ``PipelineCache`` writes are
-    atomic, so concurrent workers race safely and the loser merely
-    recomputes.  Labels are a pure function of the window and settings,
-    so the parent's serial push loop is unaffected by who computed what.
-    """
-    window, settings, cache_root = task
-    cache = PipelineCache(cache_root) if cache_root is not None else None
-    key = None
-    if cache is not None:
-        key = frame_key(window, settings)
-        labels = cache.get_labels(key)
-        if labels is not None:
-            return labels
-    frame = make_frame(window, settings)
-    if cache is not None:
-        cache.put_labels(key, frame.labels)
-    return frame.labels
-
-
 def track_windows(
     trace: Trace,
     *,
@@ -186,9 +127,8 @@ def track_windows(
     cache:
         Optional pipeline cache.  Enables both the per-window
         frame-label cache and one checkpoint entry per window keyed by
-        (trace digest, window spec, settings, config, strict,
-        max_live_windows, window): a restarted run resumes after the
-        last window it stored.
+        (trace digest, window spec, settings, config, strict, window):
+        a restarted run resumes after the last window it stored.
     on_update:
         Called with a :class:`TrackUpdate` after every *live* frame
         push (replayed windows do not re-fire it).
@@ -203,19 +143,18 @@ def track_windows(
         Monitoring is a pure observer: the tracked
         regions/relations/labels are bit-identical with it on or off.
     jobs:
-        Worker count for the multi-process window fan-out.  More than
-        one job prefetches the pending windows' cluster labels across
-        ``pmap`` workers — claiming work through the (atomic) frame
-        label cache when one is given — before the serial push loop
-        consumes them in order; pairs are always combined in-process.
-        ``None`` defers to ``REPRO_JOBS``.
+        Accepted and ignored: a watch clusters each window in-process
+        as it arrives, so window *k*'s update fires before window
+        *k + 1* is clustered.  For throughput over a finished trace's
+        windows use ``quick_track([trace], windows=N, jobs=J)``.
     max_live_windows:
         Memory bound: the tracker holds at most this many full frames;
         older windows are condensed to
         :class:`~repro.tracking.digest.FrameDigest` aggregates (see
         :class:`~repro.stream.incremental.IncrementalTracker`).
-        Regions, coverage and relations are unaffected; burst-level
-        reads of evicted frames are not available afterwards.
+        Regions, coverage and relations are unaffected, so the bound
+        is not part of the checkpoint key; burst-level reads of evicted
+        frames are not available afterwards.
 
     The incremental result is bit-identical to batch tracking of the
     same surviving window frames — the guarantee the differential suite
@@ -286,30 +225,13 @@ def track_windows(
         stored: list[tuple[PairRelations | None, ItemFailure | None]] = []
         if cache is not None:
             key = stream_key(
-                trace, spec.as_dict(), settings, config, strict=strict,
-                max_live=max_live_windows,
+                trace, spec.as_dict(), settings, config, strict=strict
             )
             for index in ok_windows:
                 entry = load_checkpoint(cache, key, index)
                 if entry is None:
                     break
                 stored.append(entry)
-
-        # Multi-process fan-out: prefetch the pending windows' labels
-        # across workers before the (serial, order-preserving) push
-        # loop.  Labels are bit-identical however they were computed,
-        # so parallel prefetch cannot change the result.
-        prefetched: dict[int, object] = {}
-        pending = ok_windows[len(stored):]
-        if resolve_jobs(jobs) > 1 and len(pending) >= 2:
-            cache_root = str(cache.root) if cache is not None else None
-            label_results = pmap(
-                _window_labels_task,
-                [(windows[index], settings, cache_root) for index in pending],
-                jobs=jobs,
-                label="stream.windows.pmap",
-            )
-            prefetched = dict(zip(pending, label_results))
 
         # Pass 2: push every surviving window.  The checkpoint prefix
         # replays its stored pairs; every later window runs live and
@@ -318,9 +240,8 @@ def track_windows(
         for position, index in enumerate(ok_windows):
             with obs.span("stream.window", window=index):
                 started = time.perf_counter()
-                frame = _window_frame(
-                    windows[index], settings, cache,
-                    labels=prefetched.get(index),
+                [frame] = make_frames(
+                    [windows[index]], settings, jobs=1, cache=cache
                 )
                 if position < len(stored) and not _pair_fits(
                     stored[position][0], previous_ids, frame

@@ -10,6 +10,7 @@ correlation view of Figure 11b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from repro.tracking.tracker import TrackedRegion, TrackingResult
 __all__ = [
     "TrendSeries",
     "frame_region_metric",
+    "frame_region_metrics",
     "compute_trends",
     "top_variations",
     "normalized_to_max",
@@ -104,24 +106,46 @@ def frame_region_metric(
     averages per burst — IPC is instruction-weighted
     (``sum(instructions) / sum(cycles)``) so short bursts do not skew
     it — and ``"total"`` sums over all member bursts.  Shared by the
-    offline trend extraction and the live stream monitor.
+    offline trend extraction and the live stream monitor, which takes
+    several metrics at once through :func:`frame_region_metrics`.
+    """
+    return frame_region_metrics(frame, member_ids, (metric,), aggregate)[0]
+
+
+def frame_region_metrics(
+    frame,
+    member_ids: frozenset[int] | set[int],
+    metrics: Sequence[str],
+    aggregate: str = "mean",
+) -> list[float]:
+    """:func:`frame_region_metric` of each of *metrics*, in order.
+
+    The region's burst indices are gathered once for all of them.
     """
     if not member_ids:
-        return float("nan")
+        return [float("nan")] * len(metrics)
     if isinstance(frame, FrameDigest):
         # Condensed frame (memory-bounded streaming): the burst data is
         # gone, but the per-cluster sums reproduce both aggregates.
-        return frame.region_metric(member_ids, metric, aggregate)
+        return [
+            frame.region_metric(member_ids, metric, aggregate)
+            for metric in metrics
+        ]
     indices = np.concatenate(
         [frame.cluster(cid).indices for cid in sorted(member_ids)]
     )
-    if aggregate == "total":
-        return float(frame.trace.metric(metric)[indices].sum())
-    if metric == "ipc":
-        instructions = frame.trace.metric("instructions")[indices].sum()
-        cycles = frame.trace.metric("cycles")[indices].sum()
-        return float(instructions / cycles) if cycles else 0.0
-    return float(frame.trace.metric(metric)[indices].mean())
+    trace = frame.trace
+    values = []
+    for metric in metrics:
+        if aggregate == "total":
+            values.append(float(trace.metric(metric)[indices].sum()))
+        elif metric == "ipc":
+            instructions = trace.metric("instructions")[indices].sum()
+            cycles = trace.metric("cycles")[indices].sum()
+            values.append(float(instructions / cycles) if cycles else 0.0)
+        else:
+            values.append(float(trace.metric(metric)[indices].mean()))
+    return values
 
 
 def _region_metric(

@@ -123,31 +123,44 @@ class TestFormatTwo:
 
 
 class TestKeyMismatch:
-    """The memory-bound knob participates in the stream key.
+    """What the stream key pins, and what it leaves out.
 
-    A checkpoint written under one max_live configuration must not be
-    adopted by a run under another — the regression test for the key
-    that silently omitted it.
+    An entry written under another checkpoint format is a miss.  The
+    memory bound is not in the key: a pair is always evaluated while
+    both of its frames are live, so bounded and unbounded runs store
+    the same entries.
     """
 
-    def _key(self, trace, **kwargs):
+    def _key(self, trace):
         spec, _ = slice_trace(trace, window_ns=DRIFT_WINDOW_NS)
         return stream_key(
             trace, spec.as_dict(), FrameSettings(), TrackerConfig(),
-            strict=True, **kwargs,
+            strict=True,
         )
 
     def test_default_key_unchanged_by_default_knobs(self, tmp_path):
         trace, cache, key = _checkpointed_run(tmp_path)
-        explicit = self._key(trace, max_live=None)
+        explicit = self._key(trace)
         assert explicit == key
         assert load_checkpoint(cache, explicit, 0) is not None
 
-    def test_max_live_mismatch_misses(self, tmp_path):
+    def test_bounded_run_resumes_from_unbounded_entries(self, tmp_path):
         trace, cache, _ = _checkpointed_run(tmp_path)
-        bounded = self._key(trace, max_live=3)
-        assert cache.get(window_key(bounded, 0)) is None
-        assert load_checkpoint(cache, bounded, 0) is None
+        telemetry = WatchTelemetry()
+        resumed = track_windows(
+            trace, window_ns=DRIFT_WINDOW_NS, cache=cache,
+            telemetry=telemetry, max_live_windows=2,
+        )
+        cold = track_windows(
+            trace, window_ns=DRIFT_WINDOW_NS, max_live_windows=2
+        )
+        assert telemetry.n_resumed == len(cold.frames)
+        assert telemetry.n_updates == 0
+        assert resumed.regions == cold.regions
+        assert resumed.coverage == cold.coverage
+        assert [pair_relations_to_json(p) for p in resumed.pair_relations] == [
+            pair_relations_to_json(p) for p in cold.pair_relations
+        ]
 
     def test_other_format_misses(self, tmp_path):
         """An entry written under another checkpoint format is a miss."""

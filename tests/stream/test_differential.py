@@ -5,7 +5,8 @@ The core guarantee of :mod:`repro.stream`: an
 fixed :class:`~repro.stream.SpaceBounds`) produces *exactly* the batch
 :class:`~repro.tracking.Tracker` output — same region equivalences,
 same pairwise relations, same renamed labels — for every bundled
-application generator, serial and parallel, cold and warm cache.
+application generator, with batch frames built serially and in
+parallel, from a cold and a warm cache.
 """
 
 from __future__ import annotations
@@ -179,23 +180,3 @@ def test_alerting_track_windows_matches_plain(app):
         telemetry=WatchTelemetry(alerts=AlertConfig()),
     )
     _assert_equal_results(plain, monitored)
-
-
-@pytest.mark.parametrize("app", ["wrf", "hydroc"])
-def test_multiprocess_watch_matches_serial(app, tmp_path):
-    """jobs=2 window prefetch (with cache-based work claiming) is
-    bit-identical to the serial watch."""
-    from repro.stream import track_windows
-
-    trace = _build_trace(app)
-    plain = track_windows(trace, n_windows=4, settings=SETTINGS)
-    cache = PipelineCache(tmp_path / "cache")
-    fanned = track_windows(
-        trace, n_windows=4, settings=SETTINGS, jobs=2, cache=cache,
-    )
-    assert fanned.regions == plain.regions
-    assert fanned.coverage == plain.coverage
-    for frame_a, frame_b in zip(plain.frames, fanned.frames):
-        np.testing.assert_array_equal(frame_a.labels, frame_b.labels)
-    # The prefetch committed its labels for later runs to claim.
-    assert cache.info().n_entries > 0

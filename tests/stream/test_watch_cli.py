@@ -105,6 +105,23 @@ class TestTrackWindowsMetrics:
         assert counter("stream.windows_total") == 5
         assert counter("stream.windows_resumed") == 0
 
+    def test_window_is_clustered_after_the_previous_update(
+        self, toy_trace, tmp_path
+    ):
+        """A watch streams: window k+1 is clustered only after window
+        k's update fired, whatever ``jobs`` asks for."""
+        cache = PipelineCache(tmp_path / "cache")
+        seen = []
+
+        def on_update(update):
+            seen.append(cache.info().by_kind.get("frame", 0))
+
+        track_windows(
+            toy_trace, n_windows=5, cache=cache, on_update=on_update, jobs=2
+        )
+        assert len(seen) >= 2
+        assert seen == [k + 1 for k in range(len(seen))]
+
     def test_updates_carry_running_state(self, toy_trace):
         updates = []
         result = track_windows(toy_trace, n_windows=4, on_update=updates.append)
@@ -127,7 +144,7 @@ class TestResume:
         def no_clustering(*args, **kwargs):
             raise AssertionError("a replayed window was clustered")
 
-        monkeypatch.setattr("repro.stream.pipeline.make_frame", no_clustering)
+        monkeypatch.setattr("repro.clustering.frames.make_frame", no_clustering)
         replayed = []
         second = track_windows(
             toy_trace, n_windows=5, cache=cache, on_update=replayed.append
@@ -280,18 +297,6 @@ class TestWatchCli:
         # All windows replay from the checkpoint: no live update lines.
         assert "window 0" not in second
         assert "Tracked regions" in second or "regions" in second
-
-    def test_watch_jobs_prefetch_matches_serial(self, tmp_path, capsys):
-        trace_file = self._simulate(tmp_path)
-        capsys.readouterr()
-        assert main(["watch", str(trace_file), "--windows", "4"]) == 0
-        plain = capsys.readouterr().out
-        assert main([
-            "watch", str(trace_file), "--windows", "4",
-            "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
-        ]) == 0
-        fanned = capsys.readouterr().out
-        assert fanned == plain
 
     def test_watch_bounded_writes_tables_only_report(self, tmp_path, capsys):
         trace_file = self._simulate(tmp_path)
