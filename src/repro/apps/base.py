@@ -91,9 +91,9 @@ class RegionSpec:
     repeats:
         How many times the region executes per iteration.
     imbalance:
-        Amplitude of a linear work gradient across ranks: rank 0 gets
-        ``1 - imbalance/2`` of the nominal work, the last rank
-        ``1 + imbalance/2`` (vertical stretching in the frame).
+        Amplitude of a linear work gradient across ranks, in ``[0, 2]``:
+        rank 0 gets ``1 - imbalance/2`` of the nominal work, the last
+        rank ``1 + imbalance/2`` (vertical stretching in the frame).
     work_jitter:
         Log-normal sigma of per-burst work noise.
     cycle_jitter:
@@ -123,8 +123,13 @@ class RegionSpec:
             raise ModelError(f"region {self.name!r} needs at least one mode")
         if self.repeats < 1:
             raise ModelError(f"region {self.name!r}: repeats must be >= 1")
-        if self.imbalance < 0:
-            raise ModelError(f"region {self.name!r}: imbalance must be >= 0")
+        if not 0 <= self.imbalance <= 2:
+            # Rank 0 gets 1 - imbalance/2 of the work, which must not
+            # be negative.
+            raise ModelError(
+                f"region {self.name!r}: imbalance must be in [0, 2], "
+                f"got {self.imbalance!r}"
+            )
         if self.work_jitter < 0 or self.cycle_jitter < 0:
             raise ModelError(f"region {self.name!r}: jitters must be >= 0")
 

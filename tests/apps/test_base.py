@@ -54,6 +54,20 @@ class TestRegionSpec:
         with pytest.raises(ModelError):
             region(imbalance=-0.1)
 
+    def test_imbalance_at_most_two(self):
+        # Above 2 the first rank's share of the work, 1 - imbalance/2,
+        # is negative.
+        with pytest.raises(ModelError, match="region 'r': imbalance"):
+            region(imbalance=2.5)
+        with pytest.raises(ModelError, match="region 'r': imbalance"):
+            region(imbalance=float("nan"))
+
+    def test_imbalance_two_gives_rank_zero_no_work(self):
+        model = AppModel(
+            name="a", nranks=4, regions=(region(imbalance=2.0),), iterations=1
+        )
+        assert model.run().counter("PAPI_TOT_INS")[0] == 0.0
+
     def test_jitters_nonnegative(self):
         with pytest.raises(ModelError):
             region(work_jitter=-0.1)
