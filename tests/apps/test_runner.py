@@ -140,3 +140,15 @@ class TestRunApp:
         fast = run_app(app([region()], comm_fraction=0.0))
         slow = run_app(app([region()], comm_fraction=0.5))
         assert slow.makespan > fast.makespan
+
+    def test_regions_sharing_a_name_keep_their_own_modes(self):
+        # Each region splits its ranks by its own modes, whatever its name.
+        single = region("r", 1, work_jitter=0.0)
+        split = region(
+            "r", 2, work_jitter=0.0,
+            modes=(Mode(weight=1.0), Mode(weight=1.0, work_scale=3.0)),
+        )
+        trace = run_app(app([single, split], nranks=6, iterations=1))
+        instr = trace.counter(INSTRUCTIONS)
+        np.testing.assert_array_equal(instr[:6], np.full(6, instr[0]))
+        assert instr[9] == pytest.approx(3 * instr[6])
